@@ -8,8 +8,9 @@ Prior JSON: ``{"kind": "uniform"}``, ``{"kind": "trunc_reciprocal",
 "t_bmax": x}`` or ``{"kind": "table", "lambda": [...], "density": [...]}``.
 POVM JSON: ``{"effects": [M, ...]}``.
 
-Exit codes: 0 on success, 2 on input errors, 3 when no reduction yields a
-valid measurement.  stdout carries data only; diagnostics go to stderr.
+Exit codes: 0 on success, 2 on input errors (including files that cannot
+be read or written), 3 when no reduction yields a valid measurement.
+stdout carries data only; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -380,7 +381,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UnsolvedCase:
         return 3
-    except EstimationError as exc:
+    except (EstimationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -113,10 +113,6 @@ class RateOutOfRange(EstimationError):
     pass
 
 
-class OracleMismatch(EstimationError):
-    """The closed-form optimal angle disagrees with the grid-scan oracle."""
-
-
 class ParseError(EstimationError):
     pass
 

@@ -7,9 +7,10 @@ Bloch vectors, parametrize pure effects by an angle, and maximize
     Q(alpha) = scale * (1 + delta_r^2 cos^2(alpha) / (1 - r_b^2 cos^2(alpha + gamma)))
 
 over the angle ``alpha`` between the measurement direction and the
-difference vector ``delta_r = r_a - r_b``.  The closed-form maximizer is
-always cross-checked against a dense grid scan, since its branch
-bookkeeping is easy to get wrong.
+difference vector ``delta_r = r_a - r_b``.  The score of a direction is a
+generalized Rayleigh quotient in the metric ``I - r_b r_b^T``, so a
+Cauchy-Schwarz step gives the maximizer and the maximum in closed form,
+with no search and no branches (see :func:`optimal_alpha`).
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .bayes import EstimationReport, Prior, effective_states, q_functional, reject_degenerate_prior
 from .errors import (
     AlreadyPure,
     DegenerateProblem,
     InvalidPovm,
-    OracleMismatch,
     SingularDenominator,
     WrongDimension,
 )
@@ -141,11 +140,6 @@ def _wrap_half_pi(alpha: float) -> float:
     return a
 
 
-def _angle_distance(a: float, b: float) -> float:
-    d = abs(a - b) % math.pi
-    return min(d, math.pi - d)
-
-
 def planar_geometry_from_coords(
     r_a: np.ndarray,
     r_b: np.ndarray,
@@ -226,66 +220,32 @@ def _q_grid(alphas: np.ndarray, geom: PlanarGeometry) -> np.ndarray:
     return vals
 
 
-def _alpha_closed_form(gamma: float, r_b: float) -> float:
-    """Closed-form stationary angle; positive branch for gamma >= 0."""
-    num = math.cos(gamma)
-    den = math.sqrt(r_b**2 / 2.0 * (r_b**2 - 2.0) * (1.0 - math.cos(2.0 * gamma)) + 1.0)
-    base = math.acos(max(-1.0, min(1.0, num / den)))
-    sign = 1.0 if gamma >= 0.0 else -1.0
-    return sign * base - gamma
+def optimal_alpha(geom: PlanarGeometry, policy: NumericPolicy = DEFAULT_POLICY) -> AngleSolution:
+    """Exact maximizer of the planar score, in (-pi/2, pi/2).
 
-
-def _refine(alpha: float, geom: PlanarGeometry, halfwidth: float) -> float:
-    res = minimize_scalar(
-        lambda a: -_q_grid(np.array([a]), geom)[0],
-        bounds=(alpha - halfwidth, alpha + halfwidth),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(res.x)
-
-
-def optimal_alpha(
-    geom: PlanarGeometry,
-    policy: NumericPolicy = DEFAULT_POLICY,
-    grid_points: int = 2000,
-) -> AngleSolution:
-    """Maximizer of the planar score in (-pi/2, pi/2].
-
-    The closed-form candidate is refined locally and asserted against a
-    grid scan; a disagreement beyond ``policy.angle_oracle_tol`` raises
-    :class:`OracleMismatch`.  A problem with ``delta_r = 0`` carries no
-    information; the solution is flagged degenerate with alpha = 0.
+    For a unit direction ``u`` the score is the generalized Rayleigh
+    quotient ``scale (1 + (u . delta)^2 / u^T B u)`` with metric
+    ``B = I - r_b r_b^T``.  Cauchy-Schwarz in the B inner product gives
+    ``(u . delta)^2 <= (u^T B u)(delta^T B^-1 delta)``, with equality for
+    ``u ~ B^-1 delta``; so the optimum is that direction and
+    ``q_max = scale (1 + delta_r^2 + (r_b . delta)^2 / (1 - r_b^2))``.
+    In the planar frame ``B^-1 delta`` is proportional to
+    ``(1 - r_b^2 sin^2 gamma, -r_b^2 sin gamma cos gamma)``; its first
+    component is positive for ``r_b < 1``.  A problem with ``delta_r = 0``
+    carries no information; the solution is flagged degenerate with
+    alpha = 0.
     """
     if geom.delta_r <= policy.degenerate_tol:
         return AngleSolution(0.0, geom.scale, degenerate=True)
-
-    candidate = _wrap_half_pi(_alpha_closed_form(geom.gamma, geom.r_b_norm))
-    step = math.pi / grid_points
-    refined = _wrap_half_pi(_refine(candidate, geom, 4.0 * step))
-
-    alphas = np.linspace(-math.pi / 2, math.pi / 2, grid_points + 1)
-    vals = _q_grid(alphas, geom)
-    best = int(np.argmax(vals))
-    grid_refined = _wrap_half_pi(_refine(float(alphas[best]), geom, 2.0 * step))
-
-    if (
-        _angle_distance(refined, grid_refined) > policy.angle_oracle_tol
-        and q_of_angle(grid_refined, geom) > q_of_angle(refined, geom) + 1e-12
-    ):
-        # angles may drift apart on numerically flat objectives; a real
-        # branch error shows up as a strictly better grid score
-        raise OracleMismatch(
-            f"closed-form angle {refined:.8f} vs grid maximizer {grid_refined:.8f} "
-            f"(gamma={geom.gamma:.6f}, r_b={geom.r_b_norm:.6f})"
-        )
-    # the closed form is exact at the stationary point; replace it only when
-    # a refinement improves the score beyond rounding noise
-    alpha = candidate
-    for alt in (refined, grid_refined):
-        if q_of_angle(alt, geom) > q_of_angle(alpha, geom) + 1e-12:
-            alpha = alt
-    return AngleSolution(alpha, q_of_angle(alpha, geom))
+    r_b2 = geom.r_b_norm**2
+    if r_b2 >= 1.0:
+        raise SingularDenominator(f"|r_b| = {geom.r_b_norm!r} is not below 1: the mean state is pure")
+    sin_g = math.sin(geom.gamma)
+    cos_g = math.cos(geom.gamma)
+    alpha = math.atan2(-r_b2 * sin_g * cos_g, 1.0 - r_b2 * sin_g * sin_g) + 0.0  # no -0
+    dot = geom.r_b_norm * geom.delta_r * cos_g
+    q_max = geom.scale * (1.0 + geom.delta_r**2 + dot * dot / (1.0 - r_b2))
+    return AngleSolution(alpha, q_max)
 
 
 def planar_q(planar: PlanarPovm, geom: PlanarGeometry, policy: NumericPolicy = DEFAULT_POLICY) -> float:
@@ -297,18 +257,6 @@ def planar_q(planar: PlanarPovm, geom: PlanarGeometry, policy: NumericPolicy = D
     mask = den > policy.zero_prob
     total = float(np.sum(w[mask] * proj[mask] ** 2 / den[mask]))
     return geom.scale * (1.0 + total)
-
-
-def planar_q_batch(
-    weights: np.ndarray,
-    angles: np.ndarray,
-    geom: PlanarGeometry,
-) -> np.ndarray:
-    """Vectorized :func:`planar_q` over rows of (weights, angles)."""
-    proj2 = (geom.delta_r * np.cos(angles)) ** 2
-    den = 1.0 + geom.r_b_norm * np.cos(angles + geom.gamma)
-    terms = np.where(den > 1e-14, weights * proj2 / np.where(den <= 0, 1.0, den), 0.0)
-    return geom.scale * (1.0 + terms.sum(axis=-1))
 
 
 def planar_to_povm(planar: PlanarPovm, geom: PlanarGeometry, policy: NumericPolicy = DEFAULT_POLICY) -> Povm:
@@ -402,7 +350,8 @@ def optimal_pvm(
     """The Bayes-optimal qubit measurement: a two-outcome PVM.
 
     General POVMs cannot beat it; the optimal direction sits at the
-    oracle-checked angle from the difference of the effective states.
+    closed-form Rayleigh-quotient angle from the difference of the
+    effective states.
     """
     reject_degenerate_prior(prior, policy)
     if rho1.dim != 2 or rho2.dim != 2:

@@ -13,6 +13,7 @@ import traceback
 import numpy as np
 
 from .bayes import Prior, effective_states, q_functional, q_permutation_form
+from .policy import DEFAULT_POLICY
 from .qubit import (
     PlanarGeometry,
     optimal_alpha,
@@ -76,13 +77,27 @@ def _check_plane_projection(rng):
         assert q_functional(split, prior, rho1, rho2).q_value >= base - 1e-12
 
 
+def _grid_max(geom, alphas):
+    den = 1.0 - (geom.r_b_norm * np.cos(alphas + geom.gamma)) ** 2
+    vals = geom.scale * (1.0 + geom.delta_r**2 * np.cos(alphas) ** 2 / den)
+    best = int(np.argmax(vals))
+    return float(alphas[best]), float(vals[best])
+
+
 def _check_angle_oracle(rng):
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
+    coarse = np.linspace(-math.pi / 2, math.pi / 2, 2001)
+    step = coarse[1] - coarse[0]
     for rb in (0.0, 0.3, 0.8, 0.95):
         for gamma in np.linspace(-math.pi + 1e-9, math.pi, 41):
             geom = PlanarGeometry(0.2, rb, float(gamma), e1, e2, 0.25)
-            optimal_alpha(geom)  # raises OracleMismatch on failure
+            sol = optimal_alpha(geom)
+            a0, _ = _grid_max(geom, coarse)
+            a_grid, q_grid = _grid_max(geom, np.linspace(a0 - step, a0 + step, 4001))
+            gap = abs(sol.alpha - a_grid) % math.pi
+            assert min(gap, math.pi - gap) <= DEFAULT_POLICY.angle_oracle_tol
+            assert sol.q_max >= q_grid - 1e-12
 
 
 def _check_optimal_dominates(rng):

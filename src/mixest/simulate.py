@@ -42,6 +42,8 @@ class DecoherenceModel:
     def __post_init__(self):
         if not (0.0 <= self.s <= 1.0):
             raise BadParameter(f"equilibrium population s must lie in [0, 1], got {self.s}")
+        if not (math.isfinite(self.t) and math.isfinite(self.b_max)):
+            raise BadParameter(f"time and maximal rate must be finite, got t={self.t}, b_max={self.b_max}")
         if self.t <= 0.0 or self.b_max <= 0.0:
             raise BadParameter("time and maximal rate must be positive")
         if self.rho0.dim != 2:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadParameter,
     DimensionMismatch,
     EffectBoundExceeded,
     InvalidPovm,
@@ -44,6 +45,8 @@ def _as_square_matrix(m) -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise WrongDimension(f"expected a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise BadParameter("matrix has non-finite entries (nan or inf)")
     return arr
 
 
@@ -135,6 +138,8 @@ def validate_state(m, policy: NumericPolicy = DEFAULT_POLICY) -> DensityMatrix:
 
     Raises
     ------
+    BadParameter
+        The matrix has a nan or infinite entry.
     NotHermitian, NotUnitTrace, NotPSD
         Each carries the offending magnitude.
     """

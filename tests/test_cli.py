@@ -83,6 +83,20 @@ class TestSolve:
         bad.write_text("{ not json")
         assert main(["solve", "--problem", str(bad)]) == 2
 
+    def test_nan_state_exit_two(self, tmp_path, capsys):
+        nan_state = {"dim": 2, "re": [[math.nan, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        problem = write_json(
+            tmp_path / "nan.json", {"rho1": nan_state, "rho2": matrix_json(np.eye(2) / 2)}
+        )
+        assert main(["solve", "--problem", problem]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        problem = orthogonal_pure_problem(tmp_path)
+        out = tmp_path / "missing" / "x.json"
+        assert main(["solve", "--problem", problem, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_table_prior_from_file(self, tmp_path, capsys):
         prior = {"kind": "table", "lambda": [0.0, 0.5, 1.0], "density": [0.2, 1.0, 0.4]}
         problem = problem_file(tmp_path, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), prior=prior)
@@ -123,6 +137,20 @@ class TestSweepGamma:
         }
         assert table[round(-math.pi / 4, 9)] > 0.1
         assert table[round(math.pi / 4, 9)] < -0.1
+
+    def test_never_writes_negative_zero(self, tmp_path):
+        for rb in ("0.0", "0.3", "0.8", "0.999"):
+            out = tmp_path / f"sweep-{rb}.csv"
+            assert main(["sweep-gamma", "--rb", rb, "--points", "12", "--out", str(out)]) == 0
+            rows = out.read_text().strip().splitlines()[1:]
+            assert any(r.split(",")[0] == "0" for r in rows)
+            for row in rows:
+                assert "-0" not in row.split(","), row
+
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["sweep-gamma", "--rb", "0.8", "--points", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_bad_rb_exit_two(self):
         assert main(["sweep-gamma", "--rb", "1.5", "--points", "4"]) == 2
@@ -221,6 +249,10 @@ class TestDecoherence:
 
     def test_bad_parameter_exit_two(self):
         assert main(["decoherence", "--s", "2.0", "--t", "1.0", "--bmax", "1.0"]) == 2
+
+    def test_nan_time_exit_two(self, capsys):
+        assert main(["decoherence", "--s", "0.5", "--t", "nan", "--bmax", "1.0"]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestSelftest:

@@ -1,0 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency; the library must not pull it in
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run(
+        [sys.executable, "-c", "import mixest, sys; assert 'scipy' not in sys.modules"],
+        env=env,
+        check=True,
+    )

@@ -149,6 +149,8 @@ class TestQOfAngle:
         geom = synthetic_geometry(0.1, 1.0, 0.0)
         with pytest.raises(SingularDenominator):
             q_of_angle(0.0, geom)
+        with pytest.raises(SingularDenominator):
+            optimal_alpha(geom)
 
 
 class TestOptimalAlpha:
@@ -185,6 +187,20 @@ class TestOptimalAlpha:
                 plus = optimal_alpha(synthetic_geometry(0.2, r_b, float(gamma)))
                 minus = optimal_alpha(synthetic_geometry(0.2, r_b, float(-gamma)))
                 assert plus.alpha == pytest.approx(-minus.alpha, abs=1e-9)
+
+    @pytest.mark.parametrize("r_b", [0.0, 0.3, 0.8, 0.95, 0.999])
+    def test_closed_form_maximum(self, r_b):
+        gammas = np.concatenate([np.linspace(-math.pi, math.pi, 73), [math.pi / 2, -math.pi / 2]])
+        assert {0.0, math.pi, -math.pi} <= set(gammas.tolist())
+        for gamma in gammas:
+            geom = synthetic_geometry(0.2, r_b, float(gamma))
+            sol = optimal_alpha(geom)
+            dot = r_b * 0.2 * math.cos(gamma)
+            expected = 0.25 * (1.0 + 0.2**2 + dot * dot / (1.0 - r_b * r_b))
+            assert sol.q_max == pytest.approx(expected, abs=1e-12)
+            # the returned angle attains the maximum
+            assert q_of_angle(sol.alpha, geom) == pytest.approx(sol.q_max, abs=1e-12)
+            assert -math.pi / 2 < sol.alpha < math.pi / 2
 
     def test_angle_bound_argument(self, rng):
         # no sampled direction may beat the claimed maximizer

@@ -117,6 +117,11 @@ class TestDecoherenceModel:
         with pytest.raises(BadParameter):
             DecoherenceModel(s=0.5, t=-1.0, b_max=1.0, rho0=Z0)
 
+    @pytest.mark.parametrize("t, b_max", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+    def test_rejects_non_finite_parameters(self, t, b_max):
+        with pytest.raises(BadParameter):
+            DecoherenceModel(s=0.5, t=t, b_max=b_max, rho0=Z0)
+
 
 class TestDecayEstimation:
     def test_standard_pipeline(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixest.errors import (
+    BadParameter,
     DimensionMismatch,
     EffectBoundExceeded,
     InvalidPovm,
@@ -65,6 +66,13 @@ class TestValidateState:
     def test_rejects_non_square(self):
         with pytest.raises(WrongDimension):
             validate_state(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(BadParameter):
+            validate_state([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(BadParameter):
+            validate_effect([[bad, 0.0], [0.0, 0.0]])
 
     def test_matrix_is_read_only(self):
         rho = validate_state(np.eye(2) / 2)
