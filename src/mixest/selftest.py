@@ -24,7 +24,7 @@ from .qubit import (
     split_effect,
 )
 from .randutil import random_density, random_povm
-from .simulate import min_ppt_eigenvalue, noisy_state, ppt_threshold
+from .simulate import _philox_uniforms, min_ppt_eigenvalue, noisy_state, ppt_threshold
 from .states import bloch_compose, bloch_decompose, validate_state
 
 
@@ -128,6 +128,17 @@ def _check_ppt_threshold(rng):
     assert min_ppt_eigenvalue(noisy_state(singlet, 0.0)) > 0
 
 
+def _check_philox_stream(rng):
+    # imported here, so that importing mixest does not load numpy.random
+    from numpy.random import Generator, Philox
+
+    for key in (0, 2**64 - 1):
+        u_lam, u_outcome = _philox_uniforms(key, np.arange(64, dtype=np.uint64))
+        for i in range(64):
+            ref = Generator(Philox(key=key, counter=[0, 0, i, 0])).random(2)
+            assert (u_lam[i], u_outcome[i]) == (ref[0], ref[1])
+
+
 CHECKS: list[tuple[str, object]] = [
     ("bloch round trip", _check_bloch_round_trip),
     ("uniform q + mean variance = 1/3", _check_uniform_complementarity),
@@ -137,6 +148,7 @@ CHECKS: list[tuple[str, object]] = [
     ("optimal PVM dominates random POVMs", _check_optimal_dominates),
     ("decoherence sampler moments", _check_sampler_moments),
     ("two-qubit PPT threshold", _check_ppt_threshold),
+    ("sampler stream equals numpy's Philox", _check_philox_stream),
 ]
 
 

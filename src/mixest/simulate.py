@@ -1,9 +1,16 @@
 """Monte Carlo verification and the decoherence / entanglement scenarios.
 
-Simulation is bit-reproducible: trial ``i`` draws from a counter-based
-Philox substream at counter offset ``i * 2**128`` under the run's 64-bit
-seed, so trials can be distributed across workers without changing any
-draw.
+Simulation is bit-reproducible.  Trial ``i`` of a run with ``seed`` reads
+one block of Philox4x64-10 (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11) with key ``(seed mod 2**64, 0)`` and counter
+``(1, 0, i, 0)``.  Its first two output words ``x`` become the doubles
+``(x >> 11) * 2**-53``: the first draws ``lam`` from the prior by inverse
+CDF, the second picks the outcome.  These are the two doubles numpy's
+Philox bit generator yields for ``key=seed, counter=[0, 0, i, 0]`` (it
+bumps the counter before its first block), but no generator is built:
+the rounds run vectorised over a block of trial counters, 65,536 trials
+at a time, so memory stays bounded and trials can be split across
+workers without changing a single draw.
 """
 
 from __future__ import annotations
@@ -12,32 +19,33 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .bayes import EstimationReport, Prior, prior_from_decoherence, q_functional
 from .errors import BadParameter, DegenerateProblem, RateOutOfRange, WrongShape
 from .highdim import ReductionOutcome, solve_pure_plus_noise
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .qubit import optimal_pvm
-from .states import DensityMatrix, as_povm, validate_state
+from .states import DensityMatrix, Povm, as_povm, validate_state
 
 _MASK64 = (1 << 64) - 1
+_CHUNK = 65536  # trials per vectorised block; bounds the sampler's memory
+
+# Philox4x64-10 round multipliers and key increments
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
 @dataclass(frozen=True)
 class DecoherenceModel:
     """Two-level decay toward a thermal state, in the rotating frame.
 
-    ``s`` is the excited-state population of the equilibrium state; the
-    Hamiltonian frequency ``omega`` is recorded but plays no role once the
-    frame rotates with it.
+    ``s`` is the excited-state population of the equilibrium state.
     """
 
     s: float
     t: float
     b_max: float
     rho0: DensityMatrix
-    omega: float = 0.0
 
     def __post_init__(self):
         if not (0.0 <= self.s <= 1.0):
@@ -76,8 +84,56 @@ class SimulationSummary:
     consistent: bool  # |empirical - analytic| <= 4 standard errors
 
 
-def _trial_stream(seed: int, index: int) -> Generator:
-    return Generator(Philox(key=seed & _MASK64, counter=[0, 0, index, 0]))
+def _philox_uniforms(key: int, counters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two doubles of each trial counter ``i``: Philox4x64-10 at ``(1, 0, i, 0)``.
+
+    The state is kept as two ``(2, n)`` arrays, the multiplied words 0 and
+    2 and the passed-through words 1 and 3, and the 64x64 -> 128-bit
+    products are assembled from 32-bit halves.
+    """
+    x = np.empty((2, len(counters)), dtype=np.uint64)
+    x[0] = 1
+    x[1] = counters
+    y = np.zeros_like(x)
+    keys = np.array(
+        [[[(key + r * _PHILOX_W[0]) & _MASK64], [(r * _PHILOX_W[1]) & _MASK64]] for r in range(10)],
+        dtype=np.uint64,
+    )
+    m_lo, m_hi = _PHILOX_M & 0xFFFFFFFF, _PHILOX_M >> 32
+    for round_key in keys:
+        x_lo, x_hi = x & 0xFFFFFFFF, x >> 32
+        lo_lo, hi_lo = m_lo * x_lo, m_hi * x_lo
+        cross = (lo_lo >> 32) + (hi_lo & 0xFFFFFFFF) + m_lo * x_hi
+        hi = m_hi * x_hi + (hi_lo >> 32) + (cross >> 32)
+        y, x = (_PHILOX_M * x)[::-1], hi[::-1] ^ y ^ round_key
+    return (x[0] >> 11) * 2.0**-53, (y[0] >> 11) * 2.0**-53
+
+
+def _sample_trials(
+    prior: Prior, povm: Povm, rho1: DensityMatrix, rho2: DensityMatrix, n_trials: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lam, outcome)`` arrays of trials ``0..n_trials-1`` of the run ``seed``.
+
+    Outcome ``m`` is the first whose cumulative probability, summed left to
+    right over ``max(lam tr[E rho1] + (1 - lam) tr[E rho2], 0)``, exceeds
+    the second double times the total; the last outcome otherwise.
+    """
+    if n_trials < 1:
+        raise BadParameter(f"need at least one trial, got {n_trials}")
+    t1 = np.array([float(np.trace(e.matrix @ rho1.matrix).real) for e in povm])
+    t2 = np.array([float(np.trace(e.matrix @ rho2.matrix).real) for e in povm])
+    key = int(seed) & _MASK64
+    lam = np.empty(n_trials)
+    outcome = np.empty(n_trials, dtype=np.intp)
+    for start in range(0, n_trials, _CHUNK):
+        block = slice(start, min(start + _CHUNK, n_trials))
+        u_lam, u_outcome = _philox_uniforms(key, np.arange(block.start, block.stop, dtype=np.uint64))
+        lam[block] = prior.sample_from_uniform(u_lam)
+        lam_col = lam[block, None]
+        acc = np.cumsum(np.maximum(lam_col * t1 + (1.0 - lam_col) * t2, 0.0), axis=1)
+        hit = (u_outcome * acc[:, -1])[:, None] < acc
+        outcome[block] = np.where(hit.any(axis=1), hit.argmax(axis=1), len(t1) - 1)
+    return lam, outcome
 
 
 def run_simulation(
@@ -97,36 +153,16 @@ def run_simulation(
     squared error.  Returns a :class:`SimulationSummary`, plus the list of
     :class:`TrialRecord` when ``return_records`` is set.
     """
-    if n_trials < 1:
-        raise BadParameter("need at least one trial")
     povm = as_povm(povm, policy)
     score = q_functional(povm, prior, rho1, rho2, policy)
-    estimates = [o.estimate for o in score.per_outcome]
-    t1 = [float(np.trace(e.matrix @ rho1.matrix).real) for e in povm]
-    t2 = [float(np.trace(e.matrix @ rho2.matrix).real) for e in povm]
-    k = len(t1)
-    seed = int(seed) & _MASK64
-
+    lam, outcome = _sample_trials(prior, povm, rho1, rho2, n_trials, seed)
+    estimates = np.array([o.estimate for o in score.per_outcome])
     errors = np.empty(n_trials)
-    records: list[TrialRecord] = []
-    for i in range(n_trials):
-        u_lambda, u_outcome = _trial_stream(seed, i).random(2)
-        lam = float(prior.sample_from_uniform(u_lambda))
-        probs = [max(lam * t1[m] + (1.0 - lam) * t2[m], 0.0) for m in range(k)]
-        target = u_outcome * sum(probs)
-        acc = 0.0
-        outcome = k - 1
-        for m in range(k):
-            acc += probs[m]
-            if target < acc:
-                outcome = m
-                break
-        est = estimates[outcome]
-        err = (lam - est) ** 2
-        errors[i] = err
-        if return_records:
-            records.append(TrialRecord(lam, outcome, est, err))
-
+    for start in range(0, n_trials, _CHUNK):
+        block = slice(start, start + _CHUNK)
+        # Python's float power, one per trial and a block at a time: numpy's
+        # square and power round differently in the last bit
+        errors[block] = [d**2 for d in (lam[block] - estimates[outcome[block]]).tolist()]
     mse = float(errors.mean())
     std_error = float(errors.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else float("inf")
     summary = SimulationSummary(
@@ -134,10 +170,13 @@ def run_simulation(
         empirical_mse=mse,
         analytic_mean_variance=score.mean_variance,
         std_error=std_error,
-        seed=seed,
+        seed=int(seed) & _MASK64,
         consistent=abs(mse - score.mean_variance) <= 4.0 * std_error,
     )
-    return (summary, records) if return_records else summary
+    if not return_records:
+        return summary
+    columns = (lam, outcome, estimates[outcome], errors)
+    return summary, list(map(TrialRecord, *(c.tolist() for c in columns)))
 
 
 def decoherence_state(model: DecoherenceModel, b: float, policy: NumericPolicy = DEFAULT_POLICY) -> DensityMatrix:
@@ -195,6 +234,7 @@ WITNESS[1, 2] = 1.0  # |01><10|
 WITNESS[2, 1] = 1.0  # |10><01|
 WITNESS[3, 3] = 1.0  # |11><11|
 WITNESS.setflags(write=False)
+_PPT_TOL = 1e-10  # a partial-transpose eigenvalue below -_PPT_TOL means entangled
 
 
 def partial_transpose(m: np.ndarray) -> np.ndarray:
@@ -211,7 +251,7 @@ def min_ppt_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2).min())
 
 
-def is_entangled(m: np.ndarray, tol: float = 1e-10) -> bool:
+def is_entangled(m: np.ndarray, tol: float = _PPT_TOL) -> bool:
     """Partial-transpose test; exact for two qubits."""
     return min_ppt_eigenvalue(m) < -tol
 
@@ -222,25 +262,36 @@ def noisy_state(psi: np.ndarray, lam: float) -> np.ndarray:
     return lam * np.outer(psi, psi.conj()) + (1.0 - lam) * np.eye(len(psi)) / len(psi)
 
 
-def ppt_threshold(psi: np.ndarray, tol: float = 1e-9) -> float | None:
-    """Smallest mixing weight at which the noisy state turns entangled.
-
-    Bisection on the minimal partial-transpose eigenvalue; returns None if
-    even the pure state passes the test (a product state).
-    """
+def _two_qubit_vector(psi) -> np.ndarray:
+    """``psi`` normalised, after checking it is a finite nonzero 4-vector."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if len(psi) != 4:
-        raise WrongShape("the entanglement demo works on two qubits")
-    if min_ppt_eigenvalue(noisy_state(psi, 1.0)) >= -1e-12:
-        return None
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if min_ppt_eigenvalue(noisy_state(psi, mid)) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2.0
+        raise WrongShape(f"the entanglement demo works on two qubits, got a vector of length {len(psi)}")
+    norm = float(np.linalg.norm(psi))  # nan or inf if any entry is
+    if not (0.0 < norm < math.inf):
+        raise BadParameter(f"state vector must be finite and nonzero, its norm is {norm}")
+    return psi / norm
+
+
+def _schmidt_root(psi: np.ndarray) -> float:
+    """``sqrt(p1 p2)`` from the Schmidt weights of a unit two-qubit vector.
+
+    The Schmidt coefficients are the singular values of the 2x2 amplitude
+    matrix, so their product is the modulus of its determinant.
+    """
+    return float(abs(psi[0] * psi[3] - psi[1] * psi[2]))
+
+
+def ppt_threshold(psi: np.ndarray) -> float | None:
+    """Smallest mixing weight at which the noisy state turns entangled.
+
+    The partial transpose of ``lam |psi><psi| + (1 - lam) I/4`` has smallest
+    eigenvalue ``(1 - lam)/4 - lam s`` with ``s = sqrt(p1 p2)`` from the
+    Schmidt weights of ``psi``, so the threshold is ``1 / (1 + 4 s)``.
+    Returns None for a product state (``s < 1e-12``).
+    """
+    s = _schmidt_root(_two_qubit_vector(psi))
+    return None if s < 1e-12 else 1.0 / (1.0 + 4.0 * s)
 
 
 @dataclass(frozen=True)
@@ -275,46 +326,26 @@ def entanglement_demo(
     alongside for comparison.  One copy never decides entanglement
     unambiguously, so the rows carry no confidence statement.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if len(psi) != 4:
-        raise WrongShape("the entanglement demo works on two qubits")
-    psi = psi / np.linalg.norm(psi)
+    psi = _two_qubit_vector(psi)
     prior = prior or Prior.uniform()
     outcome = solve_pure_plus_noise(prior, psi, 4, policy)
     report = outcome.report
     rho1 = validate_state(np.outer(psi, psi.conj()), policy)
     rho2 = validate_state(np.eye(4, dtype=complex) / 4.0, policy)
+    lam, index = _sample_trials(prior, report.povm, rho1, rho2, n_trials, seed)
+    est = np.array(report.estimates)[index]
 
-    estimates = report.estimates
-    t1 = [float(np.trace(e.matrix @ rho1.matrix).real) for e in report.povm]
-    t2 = [float(np.trace(e.matrix @ rho2.matrix).real) for e in report.povm]
-    seed = int(seed) & _MASK64
+    # closed forms at weight x: the smallest partial-transpose eigenvalue
+    # (1 - x)/4 - x s, and the witness x <psi|W|psi> + (1 - x)/2 (tr W = 2)
+    s = _schmidt_root(psi)
+    w_pure = float(np.vdot(psi, WITNESS @ psi).real)
 
-    rows = []
-    for i in range(n_trials):
-        u_lambda, u_outcome = _trial_stream(seed, i).random(2)
-        lam = float(prior.sample_from_uniform(u_lambda))
-        probs = [max(lam * a + (1.0 - lam) * b, 0.0) for a, b in zip(t1, t2)]
-        total = sum(probs)
-        target = u_outcome * total
-        acc = 0.0
-        outcome_index = len(probs) - 1
-        for m, p in enumerate(probs):
-            acc += p
-            if target < acc:
-                outcome_index = m
-                break
-        est = estimates[outcome_index]
-        state_est = noisy_state(psi, est)
-        state_true = noisy_state(psi, lam)
-        rows.append(
-            DemoRow(
-                true_lambda=lam,
-                estimate=est,
-                entangled_at_estimate=is_entangled(state_est),
-                entangled_at_true=is_entangled(state_true),
-                witness_at_estimate=float(np.trace(WITNESS @ state_est).real),
-                witness_at_true=float(np.trace(WITNESS @ state_true).real),
-            )
-        )
-    return EntanglementDemo(outcome=outcome, rows=tuple(rows), threshold=ppt_threshold(psi))
+    def entangled(x):
+        return ((1.0 - x) / 4.0 - x * s < -_PPT_TOL).tolist()
+
+    def witness(x):
+        return (x * w_pure + (1.0 - x) / 2.0).tolist()
+
+    columns = (lam.tolist(), est.tolist(), entangled(est), entangled(lam), witness(est), witness(lam))
+    rows = tuple(map(DemoRow, *columns))
+    return EntanglementDemo(outcome=outcome, rows=rows, threshold=ppt_threshold(psi))

@@ -307,9 +307,9 @@ def test_criterion_09_decoherence_pipeline():
 
 def test_criterion_10_entanglement_threshold():
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    threshold = ppt_threshold(singlet, tol=1e-9)
+    threshold = ppt_threshold(singlet)
     assert threshold == pytest.approx(1 / 3, abs=1e-9)
     # partial-transpose eigenvalue oracle around the threshold
     assert min_ppt_eigenvalue(noisy_state(singlet, threshold - 1e-6)) > 0
     assert min_ppt_eigenvalue(noisy_state(singlet, threshold + 1e-6)) < 0
-    print(f"\nACCEPTANCE 10 PASS: PPT threshold {threshold:.9f} = 1/3 by bisection")
+    print(f"\nACCEPTANCE 10 PASS: PPT threshold {threshold:.9f} = 1/3 in closed form")

@@ -259,4 +259,4 @@ class TestSelftest:
     def test_runs_clean(self, capsys):
         assert main(["selftest", "--seed", "1"]) == 0
         out = capsys.readouterr().out
-        assert "8/8 checks passed" in out
+        assert "9/9 checks passed" in out

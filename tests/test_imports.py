@@ -14,3 +14,13 @@ def test_import_does_not_load_scipy():
         env=env,
         check=True,
     )
+
+
+def test_import_does_not_load_numpy_random():
+    # the sampler runs Philox itself; numpy.random is needed only by tests
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run(
+        [sys.executable, "-c", "import mixest, sys; assert 'numpy.random' not in sys.modules"],
+        env=env,
+        check=True,
+    )

@@ -1,15 +1,23 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
+import mixest.simulate
 from mixest.bayes import Prior, q_functional
+from mixest.cli import main, matrix_from_json, matrix_to_json
 from mixest.errors import BadParameter, DegenerateProblem, RateOutOfRange, WrongShape
+from mixest.highdim import solve_pure_plus_noise
 from mixest.qubit import optimal_pvm
-from mixest.randutil import random_povm
+from mixest.randutil import random_density, random_povm
 from mixest.simulate import (
     WITNESS,
     DecoherenceModel,
+    DemoRow,
+    SimulationSummary,
+    TrialRecord,
     decoherence_state,
     entanglement_demo,
     is_entangled,
@@ -20,7 +28,7 @@ from mixest.simulate import (
     run_simulation,
     solve_decay_estimation,
 )
-from mixest.states import validate_povm, validate_state
+from mixest.states import as_povm, validate_povm, validate_state
 
 UNIFORM = Prior.uniform()
 Z0 = validate_state(np.diag([1.0, 0.0]))
@@ -230,3 +238,200 @@ class TestEntanglement:
     def test_rejects_wrong_shape(self):
         with pytest.raises(WrongShape):
             entanglement_demo(np.array([1.0, 0.0]), n_trials=5, seed=0)
+        with pytest.raises(WrongShape):
+            ppt_threshold(np.ones(3))
+
+    @pytest.mark.parametrize("n_trials", [0, -3])
+    def test_rejects_empty_demo(self, n_trials):
+        with pytest.raises(BadParameter):
+            entanglement_demo(SINGLET, n_trials=n_trials, seed=0)
+
+    @pytest.mark.parametrize(
+        "psi", [np.zeros(4), np.array([math.nan, 1.0, 0.0, 0.0]), np.array([math.inf, 0.0, 0.0, 1.0])]
+    )
+    def test_rejects_bad_state_vector(self, psi):
+        with pytest.raises(BadParameter):
+            ppt_threshold(psi)
+        with pytest.raises(BadParameter):
+            entanglement_demo(psi, n_trials=5, seed=0)
+
+    def test_threshold_closed_form_matches_eigenvalues(self, rng):
+        for _ in range(20):
+            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+            thr = ppt_threshold(psi)
+            assert min_ppt_eigenvalue(noisy_state(psi, thr)) == pytest.approx(0.0, abs=1e-12)
+            assert min_ppt_eigenvalue(noisy_state(psi, thr - 1e-6)) > 0
+            assert min_ppt_eigenvalue(noisy_state(psi, thr + 1e-6)) < 0
+
+
+# --- golden reference: the per-trial loop the vectorised sampler replaced ---
+
+MASK64 = (1 << 64) - 1
+GOLDEN_SEEDS = (0, 1, 3, 2**63, 2**64 - 1, -5)
+GOLDEN_PRIORS = {
+    "uniform": Prior.uniform(),
+    "reciprocal-0.05": Prior.truncated_reciprocal(0.05),
+    "reciprocal-5": Prior.truncated_reciprocal(5.0),
+    "table": Prior.from_table([0.0, 0.2, 0.5, 0.7, 1.0], [0.0, 2.0, 0.5, 1.5, 0.3]),
+}
+
+
+def reference_trials(prior, povm, rho1, rho2, n_trials, seed):
+    """(lam, outcome) per trial, one Philox generator per trial."""
+    t1 = [float(np.trace(e.matrix @ rho1.matrix).real) for e in povm]
+    t2 = [float(np.trace(e.matrix @ rho2.matrix).real) for e in povm]
+    k = len(t1)
+    out = []
+    for i in range(n_trials):
+        u_lambda, u_outcome = Generator(Philox(key=int(seed) & MASK64, counter=[0, 0, i, 0])).random(2)
+        lam = float(prior.sample_from_uniform(u_lambda))
+        probs = [max(lam * t1[m] + (1.0 - lam) * t2[m], 0.0) for m in range(k)]
+        target = u_outcome * sum(probs)
+        acc = 0.0
+        outcome = k - 1
+        for m in range(k):
+            acc += probs[m]
+            if target < acc:
+                outcome = m
+                break
+        out.append((lam, outcome))
+    return out
+
+
+def reference_simulation(povm, prior, rho1, rho2, n_trials, seed):
+    povm = as_povm(povm)
+    score = q_functional(povm, prior, rho1, rho2)
+    estimates = [o.estimate for o in score.per_outcome]
+    records = []
+    for lam, outcome in reference_trials(prior, povm, rho1, rho2, n_trials, seed):
+        est = estimates[outcome]
+        records.append(TrialRecord(lam, outcome, est, (lam - est) ** 2))
+    errors = np.array([r.squared_error for r in records])
+    mse = float(errors.mean())
+    std_error = float(errors.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else float("inf")
+    summary = SimulationSummary(
+        n_trials=n_trials,
+        empirical_mse=mse,
+        analytic_mean_variance=score.mean_variance,
+        std_error=std_error,
+        seed=int(seed) & MASK64,
+        consistent=abs(mse - score.mean_variance) <= 4.0 * std_error,
+    )
+    return summary, records
+
+
+def reference_ppt_threshold(psi, tol=1e-9):
+    """Bisection on the smallest partial-transpose eigenvalue."""
+    if min_ppt_eigenvalue(noisy_state(psi, 1.0)) >= -1e-12:
+        return None
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if min_ppt_eigenvalue(noisy_state(psi, mid)) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2.0
+
+
+def reference_demo_rows(psi, prior, n_trials, seed):
+    psi = np.asarray(psi, dtype=complex) / np.linalg.norm(psi)
+    report = solve_pure_plus_noise(prior, psi, 4).report
+    rho1 = validate_state(np.outer(psi, psi.conj()))
+    rho2 = validate_state(np.eye(4, dtype=complex) / 4.0)
+    rows = []
+    for lam, outcome in reference_trials(prior, report.povm, rho1, rho2, n_trials, seed):
+        est = report.estimates[outcome]
+        state_est, state_true = noisy_state(psi, est), noisy_state(psi, lam)
+        rows.append(
+            DemoRow(
+                true_lambda=lam,
+                estimate=est,
+                entangled_at_estimate=is_entangled(state_est),
+                entangled_at_true=is_entangled(state_true),
+                witness_at_estimate=float(np.trace(WITNESS @ state_est).real),
+                witness_at_true=float(np.trace(WITNESS @ state_true).real),
+            )
+        )
+    return rows
+
+
+def golden_problem(n_outcomes):
+    rng = np.random.default_rng(70 + n_outcomes)
+    rho1, rho2 = random_density(rng, 2), random_density(rng, 2)
+    povm = [np.eye(2)] if n_outcomes == 1 else random_povm(rng, 2, n_outcomes)
+    return povm, rho1, rho2
+
+
+class TestGoldenSampler:
+    @pytest.mark.parametrize("prior_name", sorted(GOLDEN_PRIORS))
+    @pytest.mark.parametrize("n_outcomes", [1, 2, 4, 6])
+    def test_matches_per_trial_loop(self, prior_name, n_outcomes):
+        prior = GOLDEN_PRIORS[prior_name]
+        povm, rho1, rho2 = golden_problem(n_outcomes)
+        for seed in GOLDEN_SEEDS:
+            expected = reference_simulation(povm, prior, rho1, rho2, 300, seed)
+            assert run_simulation(povm, prior, rho1, rho2, 300, seed, return_records=True) == expected
+            assert run_simulation(povm, prior, rho1, rho2, 300, seed) == expected[0]
+
+    def test_chunk_boundaries(self, monkeypatch):
+        povm, rho1, rho2 = golden_problem(4)
+        prior = GOLDEN_PRIORS["table"]
+        expected = reference_simulation(povm, prior, rho1, rho2, 53, 2**64 - 1)
+        demo = entanglement_demo(SINGLET, n_trials=53, seed=-5)
+        monkeypatch.setattr(mixest.simulate, "_CHUNK", 7)
+        assert run_simulation(povm, prior, rho1, rho2, 53, 2**64 - 1, return_records=True) == expected
+        assert entanglement_demo(SINGLET, n_trials=53, seed=-5).rows == demo.rows
+
+    def test_trials_csv_bytes(self, tmp_path):
+        povm, rho1, rho2 = golden_problem(6)
+        effects = [matrix_to_json(e.matrix) for e in povm]
+        problem, povm_file = tmp_path / "problem.json", tmp_path / "povm.json"
+        problem.write_text(json.dumps({
+            "rho1": matrix_to_json(rho1.matrix),
+            "rho2": matrix_to_json(rho2.matrix),
+            "prior": {"kind": "trunc_reciprocal", "t_bmax": 5.0},
+        }))
+        povm_file.write_text(json.dumps({"effects": effects}))
+        out, trials = tmp_path / "summary.csv", tmp_path / "trials.csv"
+        argv = ["simulate", "--problem", str(problem), "--povm", str(povm_file), "--n-trials", "400",
+                "--seed", "-5", "--out", str(out), "--trials-out", str(trials)]
+        assert main(argv) == 0
+        loaded = validate_povm([matrix_from_json(e) for e in effects])
+        summary, records = reference_simulation(
+            loaded, Prior.truncated_reciprocal(5.0), rho1, rho2, 400, -5
+        )
+        lines = ["trial,true_lambda,outcome_index,estimate,squared_error"] + [
+            f"{i},{r.true_lambda:.17g},{r.outcome_index},{r.estimate:.17g},{r.squared_error:.17g}"
+            for i, r in enumerate(records)
+        ]
+        assert trials.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert out.read_text().splitlines()[1] == (
+            f"{summary.seed},400,{summary.empirical_mse:.17g},"
+            f"{summary.analytic_mean_variance:.17g},{summary.std_error:.17g}"
+        )
+
+    @pytest.mark.parametrize("state", range(8))
+    def test_demo_matches_eigenvalue_loop(self, state):
+        rng = np.random.default_rng(90 + state)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        if state == 0:
+            psi = SINGLET
+        elif state == 1:
+            psi = np.array([1.0, 0.0, 0.0, 0.0])  # product state: never entangled
+        prior = Prior.truncated_reciprocal(2.0) if state % 2 else Prior.uniform()
+        seed = GOLDEN_SEEDS[state % len(GOLDEN_SEEDS)]
+        demo = entanglement_demo(psi, prior, n_trials=300, seed=seed)
+        expected = reference_demo_rows(psi, prior, 300, seed)
+        assert len(demo.rows) == len(expected)
+        for row, ref in zip(demo.rows, expected):
+            assert (row.true_lambda, row.estimate) == (ref.true_lambda, ref.estimate)
+            assert row.entangled_at_true == ref.entangled_at_true
+            assert row.entangled_at_estimate == ref.entangled_at_estimate
+            assert abs(row.witness_at_true - ref.witness_at_true) <= 1e-15
+            assert abs(row.witness_at_estimate - ref.witness_at_estimate) <= 1e-15
+        threshold = reference_ppt_threshold(psi)
+        if threshold is None:
+            assert demo.threshold is None
+        else:
+            assert demo.threshold == pytest.approx(threshold, abs=1e-9)
