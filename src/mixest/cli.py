@@ -101,6 +101,8 @@ def _prior_from_arg(arg: str | None) -> Prior | None:
 
 def load_problem(path: str, prior_override: Prior | None = None):
     obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path} must hold a JSON object, not {type(obj).__name__}")
     try:
         rho1 = validate_state(matrix_from_json(obj["rho1"]))
         rho2 = validate_state(matrix_from_json(obj["rho2"]))
@@ -108,6 +110,8 @@ def load_problem(path: str, prior_override: Prior | None = None):
         raise ParseError(f"problem file misses {exc}") from exc
     prior = prior_override or prior_from_json(obj.get("prior", {"kind": "uniform"}))
     options = obj.get("options", {})
+    if not isinstance(options, dict):
+        raise ParseError(f"problem 'options' must be a JSON object, not {type(options).__name__}")
     return rho1, rho2, prior, options
 
 
@@ -214,7 +218,11 @@ def _write_text(path: str | None, text: str) -> None:
 
 def cmd_solve(args) -> int:
     rho1, rho2, prior, options = load_problem(args.problem, _prior_from_arg(args.prior))
-    explore = int(args.explore or options.get("explore", 0))
+    explore = args.explore or options.get("explore", 0)
+    if isinstance(explore, bool) or not isinstance(explore, int):
+        raise ParseError(f"options.explore must be an integer, got {explore!r}")
+    if explore < 0:
+        raise BadParameter(f"explore must be non-negative, got {explore}")
     result = dispatch_solve(rho1, rho2, prior, explore=explore, seed=args.seed)
     _write_text(args.out, json.dumps(result, indent=2) + "\n")
     if result["kind"] == "unreduced":
@@ -265,8 +273,8 @@ def cmd_sweep_gamma(args) -> int:
         raise BadParameter(f"rb must lie in [0, 1), got {args.rb}")
     if args.points < 2:
         raise BadParameter("need at least two sweep points")
-    if not (0.0 < args.delta_r):
-        raise BadParameter("delta-r must be positive")
+    if not (0.0 < args.delta_r < math.inf):
+        raise BadParameter(f"delta-r must be positive and finite, got {args.delta_r}")
     lines = ["gamma,alpha0,q_max"]
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])

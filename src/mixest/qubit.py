@@ -124,22 +124,6 @@ class AngleSolution:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
-    planar: PlanarPovm
-    q_value: float
-
-
-def _wrap_half_pi(alpha: float) -> float:
-    """Representative of alpha modulo pi in (-pi/2, pi/2]."""
-    a = math.fmod(alpha, math.pi)
-    if a > math.pi / 2:
-        a -= math.pi
-    elif a <= -math.pi / 2:
-        a += math.pi
-    return a
-
-
 def planar_geometry_from_coords(
     r_a: np.ndarray,
     r_b: np.ndarray,
@@ -201,25 +185,6 @@ def planar_geometry(
     )
 
 
-def q_of_angle(alpha: float, geom: PlanarGeometry) -> float:
-    """Planar score of the two-outcome measurement at angle alpha."""
-    beta = alpha + geom.gamma
-    den = 1.0 - (geom.r_b_norm * math.cos(beta)) ** 2
-    if den <= 1e-15:
-        raise SingularDenominator(
-            f"r_b = {geom.r_b_norm} and cos(alpha + gamma) = {math.cos(beta):.3g}: "
-            "one outcome never occurs"
-        )
-    return geom.scale * (1.0 + geom.delta_r**2 * math.cos(alpha) ** 2 / den)
-
-
-def _q_grid(alphas: np.ndarray, geom: PlanarGeometry) -> np.ndarray:
-    beta = alphas + geom.gamma
-    den = 1.0 - (geom.r_b_norm * np.cos(beta)) ** 2
-    vals = geom.scale * (1.0 + geom.delta_r**2 * np.cos(alphas) ** 2 / np.where(den <= 1e-15, np.inf, den))
-    return vals
-
-
 def optimal_alpha(geom: PlanarGeometry, policy: NumericPolicy = DEFAULT_POLICY) -> AngleSolution:
     """Exact maximizer of the planar score, in (-pi/2, pi/2).
 
@@ -248,15 +213,21 @@ def optimal_alpha(geom: PlanarGeometry, policy: NumericPolicy = DEFAULT_POLICY) 
     return AngleSolution(alpha, q_max)
 
 
-def planar_q(planar: PlanarPovm, geom: PlanarGeometry, policy: NumericPolicy = DEFAULT_POLICY) -> float:
-    """Score of a planar POVM; outcomes that never occur contribute zero."""
-    w = planar.weights
-    a = planar.angles
-    proj = geom.delta_r * np.cos(a)
-    den = 1.0 + geom.r_b_norm * np.cos(a + geom.gamma)
-    mask = den > policy.zero_prob
-    total = float(np.sum(w[mask] * proj[mask] ** 2 / den[mask]))
-    return geom.scale * (1.0 + total)
+def planar_q(weights, angles, geom: PlanarGeometry, policy: NumericPolicy = DEFAULT_POLICY):
+    """Score of planar POVMs given as weight and angle arrays.
+
+    Outcomes run along the last axis, so one call scores a single
+    :class:`PlanarPovm` (``planar.weights, planar.angles``), a batch, or a
+    grid of two-outcome PVMs ``{(1/2, a), (1/2, a + pi)}``.  An outcome
+    whose probability per unit weight under rho_b, ``1 + r_b cos(a + gamma)``,
+    is at most ``policy.zero_prob`` never occurs and contributes zero.
+    """
+    angles = np.asarray(angles, dtype=float)
+    proj = geom.delta_r * np.cos(angles)
+    den = 1.0 + geom.r_b_norm * np.cos(angles + geom.gamma)
+    occurs = den > policy.zero_prob
+    terms = np.where(occurs, weights * proj**2 / np.where(occurs, den, 1.0), 0.0)
+    return geom.scale * (1.0 + terms.sum(axis=-1))
 
 
 def planar_to_povm(planar: PlanarPovm, geom: PlanarGeometry, policy: NumericPolicy = DEFAULT_POLICY) -> Povm:
@@ -366,188 +337,3 @@ def optimal_pvm(
     score = q_functional(povm, prior, rho1, rho2, policy)
     return EstimationReport(povm=povm, score=score, prior=prior, alpha0=sol.alpha, geometry=geom)
 
-
-def sample_planar_povm(rng: np.random.Generator, n_outcomes: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """One random planar POVM with pure effects: (weights, angles).
-
-    Angles are uniform; weights solve the completeness constraints, so the
-    draw is rejected until the solution is a proper probability vector.
-    """
-    if n_outcomes == 2:
-        a = rng.uniform(-math.pi, math.pi)
-        return np.array([0.5, 0.5]), np.array([a, a + math.pi])
-    if n_outcomes != 3:
-        raise ValueError("planar sampling supports 2 or 3 outcomes")
-    while True:
-        a = rng.uniform(-math.pi, math.pi, size=3)
-        m = np.vstack([np.ones(3), np.cos(a), np.sin(a)])
-        try:
-            w = np.linalg.solve(m, np.array([1.0, 0.0, 0.0]))
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(w > 1e-9):
-            return w, a
-
-
-def sample_planar_povm_batch(
-    rng: np.random.Generator, count: int, n_outcomes: int = 3
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked random planar POVMs: arrays (count, n_outcomes)."""
-    if n_outcomes == 2:
-        a0 = rng.uniform(-math.pi, math.pi, size=count)
-        return np.full((count, 2), 0.5), np.stack([a0, a0 + math.pi], axis=1)
-    weights = np.empty((count, 3))
-    angles = np.empty((count, 3))
-    filled = 0
-    while filled < count:
-        need = count - filled
-        a = rng.uniform(-math.pi, math.pi, size=(4 * need, 3))
-        m = np.stack([np.ones_like(a), np.cos(a), np.sin(a)], axis=1)
-        rhs = np.zeros((4 * need, 3, 1))
-        rhs[:, 0, 0] = 1.0
-        try:
-            w = np.linalg.solve(m, rhs)[:, :, 0]
-        except np.linalg.LinAlgError:
-            continue
-        ok = np.all(w > 1e-9, axis=1)
-        take = min(int(ok.sum()), need)
-        weights[filled : filled + take] = w[ok][:take]
-        angles[filled : filled + take] = a[ok][:take]
-        filled += take
-    return weights, angles
-
-
-def _centroid_penalty(w: np.ndarray, a: np.ndarray) -> float:
-    cx = float(w @ np.cos(a))
-    cy = float(w @ np.sin(a))
-    return (float(w.sum()) - 1.0) ** 2 + cx * cx + cy * cy
-
-
-def _search_objective(w: np.ndarray, a: np.ndarray, geom: PlanarGeometry, mu: float) -> float:
-    proj2 = (geom.delta_r * np.cos(a)) ** 2
-    den = 1.0 + geom.r_b_norm * np.cos(a + geom.gamma)
-    terms = np.where(den > 1e-9, np.abs(w) * proj2 / np.where(den <= 0, 1.0, den), 0.0)
-    return float(terms.sum()) - mu * _centroid_penalty(np.abs(w), a)
-
-
-def _ascend(w: np.ndarray, a: np.ndarray, geom: PlanarGeometry, mu: float,
-            iterations: int = 200, step: float = 1e-2) -> tuple[np.ndarray, np.ndarray]:
-    """Projected gradient ascent with finite differences and backtracking."""
-    x = np.concatenate([a, w])
-    k = len(a)
-
-    def value(vec: np.ndarray) -> float:
-        return _search_objective(vec[k:], vec[:k], geom, mu)
-
-    h = 1e-6
-    current = value(x)
-    for _ in range(iterations):
-        grad = np.empty_like(x)
-        for i in range(len(x)):
-            xp = x.copy()
-            xp[i] += h
-            xm = x.copy()
-            xm[i] -= h
-            grad[i] = (value(xp) - value(xm)) / (2 * h)
-        gn = float(np.linalg.norm(grad))
-        if gn < 1e-12:
-            break
-        trial_step = step
-        improved = False
-        while trial_step > 1e-6:
-            cand = x + trial_step * grad / gn
-            cand[k:] = np.clip(cand[k:], 1e-4, None)
-            cand[k:] /= cand[k:].sum()
-            cand_val = value(cand)
-            if cand_val > current:
-                x, current = cand, cand_val
-                improved = True
-                break
-            trial_step /= 2.0
-        if not improved:
-            break
-    return x[k:], x[:k]
-
-
-def _repair_weights(angles: np.ndarray) -> np.ndarray | None:
-    """Exact completeness weights for three planar directions, if feasible."""
-    m = np.vstack([np.ones(3), np.cos(angles), np.sin(angles)])
-    try:
-        w = np.linalg.solve(m, np.array([1.0, 0.0, 0.0]))
-    except np.linalg.LinAlgError:
-        return None
-    if np.all(w > 1e-9):
-        return w
-    return None
-
-
-def brute_force_planar(
-    prior: Prior,
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    n_outcomes: int = 3,
-    n_starts: int = 100,
-    seed: int = 0,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> BruteForceResult:
-    """Multi-start local search over planar POVMs with 2 or 3 outcomes.
-
-    Search runs on a penalized objective; every candidate is repaired to
-    exact completeness before scoring, so the returned score belongs to a
-    valid measurement.  Restart seeds derive from the base seed by counter.
-    """
-    if n_outcomes not in (2, 3):
-        raise ValueError("n_outcomes must be 2 or 3")
-    reject_degenerate_prior(prior, policy)
-    rho_a, rho_b = effective_states(prior, rho1, rho2, policy)
-    geom = planar_geometry(rho_a, rho_b, scale=prior.mean**2, policy=policy)
-
-    best_povm: PlanarPovm | None = None
-    best_q = -math.inf
-    for start in range(n_starts):
-        rng = np.random.default_rng([seed, start])
-        if n_outcomes == 2:
-            alpha = float(rng.uniform(-math.pi / 2, math.pi / 2))
-            alpha = _ascend_angle(alpha, geom)
-            candidate = PlanarPovm(((0.5, alpha), (0.5, alpha + math.pi)))
-        else:
-            w0, a0 = sample_planar_povm(rng, 3)
-            w, a = _ascend(w0, a0, geom, mu=max(1.0, 1e3 * geom.scale))
-            w = _repair_weights(a)
-            if w is None:
-                alpha = _ascend_angle(float(a0[0]), geom)
-                candidate = PlanarPovm(((0.5, alpha), (0.5, alpha + math.pi)))
-            else:
-                candidate = PlanarPovm(tuple((float(wi), float(ai)) for wi, ai in zip(w, a)))
-        q = planar_q(candidate, geom, policy)
-        if q > best_q:
-            best_q, best_povm = q, candidate
-    assert best_povm is not None
-    return BruteForceResult(best_povm, best_q)
-
-
-def _ascend_angle(alpha: float, geom: PlanarGeometry, iterations: int = 200, step: float = 1e-2) -> float:
-    """One-dimensional gradient ascent on the planar PVM score."""
-    h = 1e-7
-
-    def val(a: float) -> float:
-        return _q_grid(np.array([a]), geom)[0]
-
-    current = val(alpha)
-    for _ in range(iterations):
-        grad = (val(alpha + h) - val(alpha - h)) / (2 * h)
-        if abs(grad) < 1e-14:
-            break
-        trial = step
-        improved = False
-        while trial > 1e-7:
-            cand = alpha + trial * math.copysign(1.0, grad)
-            cand_val = val(cand)
-            if cand_val > current:
-                alpha, current = cand, cand_val
-                improved = True
-                break
-            trial /= 2.0
-        if not improved:
-            break
-    return _wrap_half_pi(alpha)

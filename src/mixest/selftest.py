@@ -18,6 +18,7 @@ from .qubit import (
     PlanarGeometry,
     optimal_alpha,
     optimal_pvm,
+    planar_q,
     planar_to_povm,
     projected_to_povm,
     reduce_to_plane,
@@ -78,8 +79,7 @@ def _check_plane_projection(rng):
 
 
 def _grid_max(geom, alphas):
-    den = 1.0 - (geom.r_b_norm * np.cos(alphas + geom.gamma)) ** 2
-    vals = geom.scale * (1.0 + geom.delta_r**2 * np.cos(alphas) ** 2 / den)
+    vals = planar_q(0.5, np.stack([alphas, alphas + math.pi], axis=-1), geom)
     best = int(np.argmax(vals))
     return float(alphas[best]), float(vals[best])
 

@@ -91,6 +91,31 @@ class TestSolve:
         assert main(["solve", "--problem", problem]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_list_problem_exit_two(self, tmp_path, capsys):
+        problem = write_json(tmp_path / "list.json", [1, 2, 3])
+        assert main(["solve", "--problem", problem]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_object_options_exit_two(self, tmp_path, capsys):
+        problem = problem_file(tmp_path, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), options=[5])
+        assert main(["solve", "--problem", problem]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("explore", ["many", 2.5, True])
+    def test_non_integer_explore_option_exit_two(self, tmp_path, capsys, explore):
+        options = {"explore": explore}
+        problem = problem_file(tmp_path, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), options=options)
+        assert main(["solve", "--problem", problem]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_explore_exit_two(self, tmp_path, capsys):
+        problem = orthogonal_pure_problem(tmp_path)
+        assert main(["solve", "--problem", problem, "--explore", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        problem = problem_file(tmp_path, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), options={"explore": -3})
+        assert main(["solve", "--problem", problem]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unwritable_out_exit_two(self, tmp_path, capsys):
         problem = orthogonal_pure_problem(tmp_path)
         out = tmp_path / "missing" / "x.json"
@@ -154,6 +179,13 @@ class TestSweepGamma:
 
     def test_bad_rb_exit_two(self):
         assert main(["sweep-gamma", "--rb", "1.5", "--points", "4"]) == 2
+
+    @pytest.mark.parametrize("delta_r", ["inf", "nan"])
+    def test_non_finite_delta_r_exit_two(self, capsys, delta_r):
+        assert main(["sweep-gamma", "--rb", "0.5", "--delta-r", delta_r]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
 
 
 class TestSimulate:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mixest.bayes import Prior, effective_states, q_functional
 from mixest.errors import (
@@ -13,16 +15,13 @@ from mixest.errors import (
 from mixest.qubit import (
     PlanarGeometry,
     PlanarPovm,
-    brute_force_planar,
     optimal_alpha,
     optimal_pvm,
     planar_geometry,
     planar_q,
     planar_to_povm,
     projected_to_povm,
-    q_of_angle,
     reduce_to_plane,
-    sample_planar_povm_batch,
     split_effect,
 )
 from mixest.randutil import random_density, random_povm, random_pure
@@ -75,6 +74,45 @@ def angle_distance(a, b):
     return min(d, math.pi - d)
 
 
+def pvm_q(alphas, geom):
+    """planar_q of the two-outcome PVMs {(1/2, a), (1/2, a + pi)}."""
+    alphas = np.asarray(alphas, dtype=float)
+    return planar_q(0.5, np.stack([alphas, alphas + math.pi], axis=-1), geom)
+
+
+def random_planar_batch(rng, count):
+    """Random pure 3-outcome planar POVMs as (weights, angles), shape (count, 3).
+
+    Unit vectors at angles a_1, a_2, a_3 balance with weights proportional
+    to sin(a_3 - a_2), sin(a_1 - a_3), sin(a_2 - a_1); a draw is kept when
+    the normalised weights are all positive.
+    """
+    weights, angles = [], []
+    while sum(len(w) for w in weights) < count:
+        a = rng.uniform(-math.pi, math.pi, size=(2 * count, 3))
+        w = np.sin(np.roll(a, -2, axis=1) - np.roll(a, -1, axis=1))
+        w /= w.sum(axis=1, keepdims=True)
+        ok = np.all(w > 1e-9, axis=1)
+        weights.append(w[ok])
+        angles.append(a[ok])
+    return np.concatenate(weights)[:count], np.concatenate(angles)[:count]
+
+
+def sld_q(prior, rho1, rho2):
+    """Bayesian SLD bound q* (Personick 1971): no POVM scores above it.
+
+    Solves rho_b L + L rho_b = 2 mean rho_a on the support of rho_b, in the
+    eigenbasis of rho_b, and returns tr(mean rho_a L).
+    """
+    rho_a, rho_b = effective_states(prior, rho1, rho2)
+    e, v = np.linalg.eigh(rho_b.matrix)
+    c = prior.mean * (v.conj().T @ rho_a.matrix @ v)
+    den = e[:, None] + e[None, :]
+    support = den > 1e-12
+    sld = np.where(support, 2.0 * c / np.where(support, den, 1.0), 0.0)
+    return float(np.trace(c @ sld).real)
+
+
 class TestGeometry:
     def test_orthogonal_pure_uniform(self):
         rho_a, rho_b = effective_states(UNIFORM, Z0, Z1)
@@ -108,14 +146,16 @@ class TestGeometry:
 
 
 class TestQOfAngle:
+    """planar_q of the two-outcome PVM at one angle."""
+
     def test_no_information(self):
         geom = synthetic_geometry(0.0, 0.5, 1.0)
         for alpha in np.linspace(-1.5, 1.5, 7):
-            assert q_of_angle(float(alpha), geom) == pytest.approx(0.25, abs=1e-15)
+            assert pvm_q(alpha, geom) == pytest.approx(0.25, abs=1e-15)
 
     def test_orthogonal_pure_value(self):
         geom = synthetic_geometry(1 / 3, 0.0, math.pi / 2)
-        assert q_of_angle(0.0, geom) == pytest.approx(5 / 18, abs=1e-15)
+        assert pvm_q(0.0, geom) == pytest.approx(5 / 18, abs=1e-15)
 
     def test_pure_pair_maximum(self, rng):
         for _ in range(10):
@@ -125,9 +165,7 @@ class TestQOfAngle:
             geom = planar_geometry(rho_a, rho_b)
             if geom.delta_r < 1e-6:
                 continue
-            best = max(
-                q_of_angle(float(a), geom) for a in np.linspace(-math.pi / 2, math.pi / 2, 20001)
-            )
+            best = pvm_q(np.linspace(-math.pi / 2, math.pi / 2, 20001), geom).max()
             assert best == pytest.approx(0.25 * (1 + geom.delta_r**2), abs=1e-9)
 
     def test_matches_q_functional_for_pvm(self, rng):
@@ -141,14 +179,12 @@ class TestQOfAngle:
             povm = validate_povm(
                 [bloch_compose(direction, 0.5).matrix, bloch_compose(-direction, 0.5).matrix]
             )
-            assert q_of_angle(alpha, geom) == pytest.approx(
+            assert pvm_q(alpha, geom) == pytest.approx(
                 q_functional(povm, UNIFORM, rho1, rho2).q_value, abs=1e-12
             )
 
     def test_singular_denominator(self):
         geom = synthetic_geometry(0.1, 1.0, 0.0)
-        with pytest.raises(SingularDenominator):
-            q_of_angle(0.0, geom)
         with pytest.raises(SingularDenominator):
             optimal_alpha(geom)
 
@@ -199,7 +235,7 @@ class TestOptimalAlpha:
             expected = 0.25 * (1.0 + 0.2**2 + dot * dot / (1.0 - r_b * r_b))
             assert sol.q_max == pytest.approx(expected, abs=1e-12)
             # the returned angle attains the maximum
-            assert q_of_angle(sol.alpha, geom) == pytest.approx(sol.q_max, abs=1e-12)
+            assert pvm_q(sol.alpha, geom) == pytest.approx(sol.q_max, abs=1e-12)
             assert -math.pi / 2 < sol.alpha < math.pi / 2
 
     def test_angle_bound_argument(self, rng):
@@ -263,7 +299,7 @@ class TestOptimalPvm:
             rho2 = random_density(rng, 2)
             report = optimal_pvm(UNIFORM, rho1, rho2)
             assert report.score.q_value == pytest.approx(
-                q_of_angle(report.alpha0, report.geometry), abs=1e-12
+                pvm_q(report.alpha0, report.geometry), abs=1e-12
             )
 
 
@@ -349,28 +385,33 @@ class TestSplitEffect:
 
 class TestBruteForce:
     def test_two_outcomes_recover_optimum(self, rng):
-        for trial in range(5):
+        alphas = np.linspace(-math.pi / 2, math.pi / 2, 200001)
+        for _ in range(5):
             rho1 = random_density(rng, 2)
             rho2 = random_density(rng, 2)
             report = optimal_pvm(UNIFORM, rho1, rho2)
-            found = brute_force_planar(UNIFORM, rho1, rho2, n_outcomes=2, n_starts=12, seed=trial)
-            assert angle_distance(found.planar.outcomes[0][1], report.alpha0) < 1e-4
-            assert found.q_value <= report.score.q_value + 1e-9
+            scores = pvm_q(alphas, report.geometry)
+            best = int(np.argmax(scores))
+            assert angle_distance(alphas[best], report.alpha0) < 1e-4
+            assert scores[best] <= report.score.q_value + 1e-9
 
     def test_three_outcomes_never_beat_pvm(self, rng):
-        for trial in range(5):
-            rho1 = random_density(rng, 2)
-            rho2 = random_density(rng, 2)
+        pairs = [(random_density(rng, 2), random_density(rng, 2)) for _ in range(5)]
+        for rho1, rho2 in pairs:
             report = optimal_pvm(UNIFORM, rho1, rho2)
-            found = brute_force_planar(UNIFORM, rho1, rho2, n_outcomes=3, n_starts=30, seed=trial)
-            assert found.q_value <= report.score.q_value + 1e-9
+            assert report.score.q_value == pytest.approx(sld_q(UNIFORM, rho1, rho2), abs=1e-12)
+            weights, angles = random_planar_batch(rng, 30000)
+            assert planar_q(weights, angles, report.geometry).max() <= report.score.q_value + 1e-9
 
-    def test_identical_states_score_quarter(self):
-        found = brute_force_planar(UNIFORM, Z0, Z0, n_outcomes=3, n_starts=5, seed=0)
-        assert found.q_value == pytest.approx(0.25, abs=1e-12)
+    def test_identical_states_score_quarter(self, rng):
+        rho_a, rho_b = effective_states(UNIFORM, Z0, Z0)
+        geom = planar_geometry(rho_a, rho_b)
+        weights, angles = random_planar_batch(rng, 1000)
+        assert np.max(np.abs(planar_q(weights, angles, geom) - 0.25)) < 1e-12
 
     def test_random_planar_batch_is_feasible(self, rng):
-        weights, angles = sample_planar_povm_batch(rng, 200, 3)
+        weights, angles = random_planar_batch(rng, 200)
+        assert weights.shape == angles.shape == (200, 3)
         assert np.all(weights > 0)
         assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-9)
         cx = (weights * np.cos(angles)).sum(axis=1)
@@ -382,10 +423,52 @@ class TestBruteForce:
         rho2 = random_density(rng, 2)
         rho_a, rho_b = effective_states(UNIFORM, rho1, rho2)
         geom = planar_geometry(rho_a, rho_b)
-        weights, angles = sample_planar_povm_batch(rng, 20, 3)
-        for w, a in zip(weights, angles):
+        weights, angles = random_planar_batch(rng, 20)
+        batch = planar_q(weights, angles, geom)
+        for w, a, q in zip(weights, angles, batch):
             planar = PlanarPovm(tuple((float(wi), float(ai)) for wi, ai in zip(w, a)))
             povm = planar_to_povm(planar, geom)
-            assert planar_q(planar, geom) == pytest.approx(
-                q_functional(povm, UNIFORM, rho1, rho2).q_value, abs=1e-12
-            )
+            assert planar_q(planar.weights, planar.angles, geom) == pytest.approx(q, abs=1e-15)
+            assert q == pytest.approx(q_functional(povm, UNIFORM, rho1, rho2).q_value, abs=1e-12)
+
+
+BLOCH_BALL = st.tuples(
+    st.floats(-1, 1, allow_nan=False),
+    st.floats(-1, 1, allow_nan=False),
+    st.floats(-1, 1, allow_nan=False),
+).filter(lambda v: np.linalg.norm(v) <= 1.0)
+
+PRIORS = [UNIFORM, Prior.truncated_reciprocal(0.05), Prior.truncated_reciprocal(5.0)]
+
+
+def bloch_rotation_y(theta):
+    """Unitary turning Bloch vectors by theta about the y axis."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -s], [s, c]])
+
+
+class TestSldBound:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(BLOCH_BALL, BLOCH_BALL, st.sampled_from(PRIORS))
+    def test_optimal_pvm_attains_sld_bound(self, v1, v2, prior):
+        assume(np.linalg.norm(np.subtract(v1, v2)) > 1e-6)
+        rho1 = validate_state(bloch_compose(np.asarray(v1), 0.5).matrix)
+        rho2 = validate_state(bloch_compose(np.asarray(v2), 0.5).matrix)
+        report = optimal_pvm(prior, rho1, rho2)
+        q = report.score.q_value
+        assert q == pytest.approx(sld_q(prior, rho1, rho2), abs=1e-12)
+        assert q + report.mean_variance == pytest.approx(prior.second_moment, abs=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SingularDenominator,
+        reason="near-pure FOUND in CHANGES.md: validate_state admits eigenvalues down to "
+        "-psd_tol, so |r_b| = 1 + 8e-11 and optimal_pvm meets its 1/(1 - r_b^2) pole",
+    )
+    def test_near_pure_pair_solves(self):
+        rho1 = validate_state(np.diag([1.0 + 4e-11, -4e-11]))
+        u = bloch_rotation_y(1e-6)
+        rho2 = validate_state(u @ rho1.matrix @ u.T)
+        q_star = sld_q(UNIFORM, rho1, rho2)
+        assert q_star == pytest.approx(0.25 + 1e-11, abs=1e-13)
+        assert optimal_pvm(UNIFORM, rho1, rho2).score.q_value == pytest.approx(q_star, abs=1e-12)
