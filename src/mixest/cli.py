@@ -16,6 +16,7 @@ stdout carries data only; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -117,7 +118,9 @@ def load_problem(path: str, prior_override: Prior | None = None):
 
 def load_povm(path: str) -> Povm:
     obj = _load_json(path)
-    if "effects" not in obj:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path} must hold a JSON object, not {type(obj).__name__}")
+    if not isinstance(obj.get("effects"), list):
         raise ParseError("POVM file needs an 'effects' list")
     return validate_povm([matrix_from_json(e) for e in obj["effects"]])
 
@@ -275,6 +278,9 @@ def cmd_sweep_gamma(args) -> int:
         raise BadParameter("need at least two sweep points")
     if not (0.0 < args.delta_r < math.inf):
         raise BadParameter(f"delta-r must be positive and finite, got {args.delta_r}")
+    # q_max <= (1 + delta_r^2 / (1 - rb^2)) / 4; a float ** would raise on overflow
+    if not math.isfinite(args.delta_r * args.delta_r / (1.0 - args.rb * args.rb)):
+        raise BadParameter(f"delta-r {args.delta_r!r} is too large: q_max overflows")
     lines = ["gamma,alpha0,q_max"]
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
@@ -331,7 +337,13 @@ def cmd_selftest(args) -> int:
     return run_selftest(seed=args.seed)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared: do not modify it.
+
+    ``parse_args`` returns a fresh namespace on every call and the parser
+    has no ``append`` actions or mutable defaults, so calls share no state.
+    """
     parser = argparse.ArgumentParser(
         prog="mixest",
         description="Bayesian-optimal single-copy estimation of a mixing parameter",

@@ -45,7 +45,6 @@ from .states import (
     commutator_norm,
     gell_mann_basis,
     make_operator_basis,
-    validate_effect,
     validate_povm,
     validate_state,
 )
@@ -121,10 +120,7 @@ def solve_commuting(
         ta = w * ti + (1.0 - w) * si
         reduced_q += (prior.mean * ta) ** 2 / tb
 
-    effects = tuple(
-        validate_effect(np.outer(basis[:, i], basis[:, i].conj()), policy) for i in range(d)
-    )
-    povm = validate_povm([e.matrix for e in effects], policy)
+    povm = validate_povm([np.outer(basis[:, i], basis[:, i].conj()) for i in range(d)], policy)
     score = q_functional(povm, prior, rho1, rho2, policy)
     degenerate = float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= policy.degenerate_tol
     report = EstimationReport(povm=povm, score=score, prior=prior, degenerate=degenerate)
@@ -281,10 +277,23 @@ def aligned_basis(
 ) -> OperatorBasis:
     """Operator basis whose first two generators span the states' traceless parts.
 
+    The first two generators are the plane of :func:`_aligned_plane`; the
+    remaining ones are Gell-Mann completions.  :func:`embed_and_check`
+    needs only the plane and does not build this basis.
+    """
+    d = rho1.dim
+    generators = _gell_mann_completion(list(_aligned_plane(rho1, rho2, policy)), d * d - 1, policy)
+    return make_operator_basis(d, generators, policy)
+
+
+def _aligned_plane(
+    rho1: DensityMatrix, rho2: DensityMatrix, policy: NumericPolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal generators (G_1, G_2) of the plane holding both states.
+
     G_1 points along rho1 - rho2; G_2 completes the plane by Gram-Schmidt
-    on rho1 - I/d (falling back to the generalized Gell-Mann family when
-    the states are collinear with G_1).  The remaining generators are
-    Gell-Mann completions.
+    on rho1 - I/d.  When rho1 - I/d is collinear with G_1 (one state is
+    white noise), G_2 comes from the Gell-Mann completion instead.
     """
     d = rho1.dim
     if rho2.dim != d:
@@ -298,12 +307,16 @@ def aligned_basis(
     a1 = rho1.matrix - np.eye(d) / d
     resid = a1 - _hs_inner(g1, a1) * g1
     rn = _hs_norm(resid)
-    generators = [g1]
     if rn > 1e-9:
-        generators.append(resid / rn)
+        return g1, resid / rn
+    return tuple(_gell_mann_completion([g1], 2, policy))
 
+
+def _gell_mann_completion(generators: list, count: int, policy: NumericPolicy) -> list:
+    """Extend orthonormal generators to ``count`` by Gram-Schmidt on the Gell-Mann family."""
+    d = generators[0].shape[0]
     for gm in gell_mann_basis(d, policy).generators:
-        if len(generators) == d * d - 1:
+        if len(generators) == count:
             break
         cand = gm.astype(complex)
         for g in generators:
@@ -311,8 +324,8 @@ def aligned_basis(
         cn = _hs_norm(cand)
         if cn > 1e-6:
             generators.append(cand / cn)
-    assert len(generators) == d * d - 1
-    return make_operator_basis(d, generators, policy)
+    assert len(generators) == count
+    return generators
 
 
 def _hs_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -337,14 +350,20 @@ def embed_and_check(
     reconstruction along that direction, completed by its complement.
     Both signs of the direction are tried.  If neither candidate pair is
     positive the problem stays unreduced and no optimality is claimed.
+
+    Only the plane (G_1, G_2) enters, so without an explicit ``basis`` the
+    full :func:`aligned_basis` is never built.  An explicit ``basis`` must
+    have the states in the span of its first two generators, or
+    :class:`BasisAlignmentFailed` is raised.
     """
     _check_problem(prior, rho1, rho2)
     d = rho1.dim
     if float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= policy.degenerate_tol:
         raise DegenerateProblem("rho1 = rho2")
     if basis is None:
-        basis = aligned_basis(rho1, rho2, policy)
-    g1, g2 = basis.generators[0], basis.generators[1]
+        g1, g2 = _aligned_plane(rho1, rho2, policy)
+    else:
+        g1, g2 = basis.generators[0], basis.generators[1]
 
     # expressibility over (G_0, G_1, G_2)
     scale = d / math.sqrt(d * d - d)

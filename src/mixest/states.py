@@ -270,14 +270,16 @@ def make_operator_basis(dim: int, generators, policy: NumericPolicy = DEFAULT_PO
     for i, g in enumerate(gens):
         if g.shape != (dim, dim):
             raise DimensionMismatch(f"generator {i} has shape {g.shape}")
-        if abs(np.trace(g)) > policy.basis_tol:
-            raise InvalidPovm(f"generator {i} is not traceless")
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            inner = np.trace(gens[i].conj().T @ gens[j])
-            target = 1.0 if i == j else 0.0
-            if abs(inner - target) > policy.basis_tol:
-                raise InvalidPovm(f"generators {i},{j} are not orthonormal: tr(Gi Gj) = {inner:.3e}")
+    stack = np.array(gens, dtype=complex).reshape(len(gens), dim, dim)
+    bad = np.flatnonzero(np.abs(np.trace(stack, axis1=1, axis2=2)) > policy.basis_tol)
+    if bad.size:
+        raise InvalidPovm(f"generator {bad[0]} is not traceless")
+    flat = stack.reshape(len(gens), dim * dim)
+    gram = flat.conj() @ flat.T  # gram[i, j] = tr(G_i^dag G_j)
+    off = np.argwhere(np.triu(np.abs(gram - np.eye(len(gens))) > policy.basis_tol))
+    if off.size:
+        i, j = off[0]
+        raise InvalidPovm(f"generators {i},{j} are not orthonormal: tr(Gi Gj) = {gram[i, j]:.3e}")
     return OperatorBasis(dim, gens)
 
 

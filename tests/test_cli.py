@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mixest.cli import main, matrix_from_json, matrix_to_json
+from mixest.cli import build_parser, main, matrix_from_json, matrix_to_json
 
 
 def write_json(path, obj):
@@ -187,6 +187,12 @@ class TestSweepGamma:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    def test_overflowing_delta_r_exit_two(self, capsys):
+        assert main(["sweep-gamma", "--rb", "0.5", "--points", "2", "--delta-r", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too large" in captured.err
+
 
 class TestSimulate:
     def test_matches_analytic_value(self, tmp_path):
@@ -221,6 +227,15 @@ class TestSimulate:
             {"effects": [matrix_json(0.5 * np.eye(2)), matrix_json(0.4 * np.eye(2))]},
         )
         assert main(["simulate", "--problem", problem, "--povm", povm]) == 2
+
+    @pytest.mark.parametrize("content", [5, {"effects": 5}], ids=["top_level_int", "effects_int"])
+    def test_malformed_povm_file_exit_two(self, tmp_path, capsys, content):
+        problem = orthogonal_pure_problem(tmp_path)
+        povm = write_json(tmp_path / "povm.json", content)
+        assert main(["simulate", "--problem", problem, "--povm", povm, "--n-trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_round_trip_scoring(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
@@ -292,3 +307,34 @@ class TestSelftest:
         assert main(["selftest", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "9/9 checks passed" in out
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_calls(self, tmp_path, capsys):
+        problem = orthogonal_pure_problem(tmp_path)
+        csv = tmp_path / "sim.csv"
+        sim = ["simulate", "--problem", problem, "--n-trials", "50", "--seed", "4"]
+        calls = [
+            ["solve", "--problem", problem, "--explore", "3"],
+            ["solve", "--problem", problem],
+            sim + ["--out", str(csv)],
+            sim,
+        ]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            written = csv.read_text() if csv.exists() else None
+            if csv.exists():
+                csv.unlink()
+            return code, captured.out, captured.err, written
+
+        assert build_parser() is build_parser()
+        reused = [run(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert reused == fresh
+        assert "explore_count" in reused[0][1] and "explore_count" not in reused[1][1]
+        assert reused[2][1] == "" and reused[2][3] == reused[3][1]

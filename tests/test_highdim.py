@@ -287,3 +287,48 @@ class TestAlignedBasis:
         diff /= math.sqrt(np.trace(diff @ diff).real)
         overlap = abs(np.trace(gens[0].conj().T @ diff))
         assert overlap == pytest.approx(1.0, abs=1e-10)
+
+
+def _pure_noise_pair(rng, dim):
+    return embed_states(haar_vector(rng, dim)), validate_state(np.eye(dim) / dim)
+
+
+class TestPlaneWithoutFullBasis:
+    """embed_and_check builds only the plane; the answer must not move."""
+
+    @staticmethod
+    def assert_bit_identical(rho1, rho2, prior=UNIFORM):
+        plane = embed_and_check(prior, rho1, rho2)
+        full = embed_and_check(prior, rho1, rho2, basis=aligned_basis(rho1, rho2))
+        assert plane.kind is full.kind
+        assert plane.reduced_q == full.reduced_q
+        assert plane.min_eigenvalue == full.min_eigenvalue
+        if plane.report is None:
+            assert full.report is None
+            pairs = zip(plane.candidate_effects, full.candidate_effects, strict=True)
+        else:
+            assert plane.report.alpha0 == full.report.alpha0
+            assert plane.report.score.q_value == full.report.score.q_value
+            pairs = zip(plane.lifted_povm.matrices(), full.lifted_povm.matrices(), strict=True)
+        for a, b in pairs:
+            assert np.array_equal(a, b)
+        return plane
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_random_pairs(self, dim, rng):
+        prior = Prior.truncated_reciprocal(math.log(2))
+        for _ in range(4):
+            self.assert_bit_identical(random_density(rng, dim), random_density(rng, dim), prior)
+            self.assert_bit_identical(random_density(rng, dim, 1), random_density(rng, dim, 2))
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_pure_with_noise(self, dim, rng):
+        rho1, rho2 = _pure_noise_pair(rng, dim)
+        assert self.assert_bit_identical(rho1, rho2).kind is ReductionKind.EMBEDDED
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_mirrored_pair_takes_the_gell_mann_fallback(self, dim, rng):
+        pure, noise = _pure_noise_pair(rng, dim)
+        # rho1 - I/d vanishes, so G_2 cannot come from Gram-Schmidt on it
+        assert np.max(np.abs(noise.matrix - np.eye(dim) / dim)) == 0.0
+        assert self.assert_bit_identical(noise, pure).kind is ReductionKind.EMBEDDED

@@ -27,6 +27,7 @@ from mixest.states import (
     bloch_decompose,
     common_eigenbasis,
     gell_mann_basis,
+    make_operator_basis,
     validate_effect,
     validate_povm,
     validate_state,
@@ -201,6 +202,42 @@ class TestOperatorBasis:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             basis_decompose(validate_state(np.eye(2) / 2), gell_mann_basis(3))
+
+    @staticmethod
+    def first_violation(gens, tol=1e-10):
+        """Reference: the pairwise trace loop that the Gram-matrix check replaced."""
+        for i, g in enumerate(gens):
+            if abs(np.trace(g)) > tol:
+                return f"generator {i} is not traceless"
+        for i in range(len(gens)):
+            for j in range(i, len(gens)):
+                inner = np.trace(gens[i].conj().T @ gens[j])
+                if abs(inner - (1.0 if i == j else 0.0)) > tol:
+                    return f"generators {i},{j} are not orthonormal"
+        return None
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_rejection_names_the_first_offending_generators(self, dim, rng):
+        n = dim * dim - 1
+        for _ in range(20):
+            gens = [g.copy() for g in gell_mann_basis(dim).generators]
+            i, j = sorted(rng.choice(n, size=2, replace=False))
+            kind = rng.integers(4)
+            if kind == 0:
+                gens[j] = gens[j] * (1.0 + rng.choice([1e-3, 3e-10, 3e-11]))
+            elif kind == 1:
+                gens[j] = gens[j] + rng.choice([1e-3, 3e-10, 3e-11]) * gens[i]
+            elif kind == 2:
+                gens[i] = gens[i] + 1e-3 * np.eye(dim)
+            else:
+                gens[i], gens[j] = gens[i] + 1e-3 * gens[j], gens[j] + 1e-3 * gens[i]
+            expected = self.first_violation(gens)
+            if expected is None:
+                make_operator_basis(dim, gens)
+                continue
+            with pytest.raises(InvalidPovm) as err:
+                make_operator_basis(dim, gens)
+            assert str(err.value).startswith(expected)
 
 
 class TestCommonEigenbasis:
