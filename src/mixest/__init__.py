@@ -65,6 +65,7 @@ from .states import (
     gell_mann_basis,
     validate_povm,
     validate_state,
+    validate_states,
 )
 
 __version__ = "0.1.0"
@@ -119,4 +120,5 @@ __all__ = [
     "support_rank",
     "validate_povm",
     "validate_state",
+    "validate_states",
 ]

@@ -16,6 +16,10 @@ A measurement is scored by ``q_value = sum_m (mean * tr[E_m rho_a])^2 /
 tr[E_m rho_b]``; the expected posterior variance ("mean variance") equals
 ``second_moment - q_value``, so maximizing the score minimizes the
 expected squared estimation error.
+
+All of these read the traces ``tr[E_m rho_k]`` of every effect against
+every state from one stacked matrix product and one stacked trace, which
+give the same bits as a ``np.trace(E @ rho)`` per pair.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .errors import (
     ZeroMeanPrior,
 )
 from .policy import DEFAULT_POLICY, NumericPolicy
-from .states import DensityMatrix, Effect, Povm, as_povm, validate_state
+from .states import DensityMatrix, Effect, Povm, as_povm, validate_states
 
 if TYPE_CHECKING:  # pragma: no cover
     from .qubit import PlanarGeometry
@@ -265,45 +269,54 @@ def effective_states(
         raise DimensionMismatch(f"dims {rho1.dim} vs {rho2.dim}")
     if prior.mean <= 0.0:
         raise ZeroMeanPrior("prior mean must be positive")
-    w = prior.second_moment / prior.mean
-    rho_a = validate_state(w * rho1.matrix + (1.0 - w) * rho2.matrix, policy)
-    rho_b = validate_state(prior.mean * rho1.matrix + (1.0 - prior.mean) * rho2.matrix, policy)
-    return rho_a, rho_b
+    return validate_states(_mixtures([prior.second_moment / prior.mean, prior.mean], rho1, rho2), policy)
 
 
-def _moments_against(
-    effect: Effect,
-    prior: Prior,
-    rho_a: np.ndarray,
-    rho_b: np.ndarray,
-    rho_c: np.ndarray,
-    policy: NumericPolicy,
-) -> PosteriorMoments:
-    prob = float(np.trace(effect.matrix @ rho_b).real)
-    if prob < policy.zero_prob:
+def _traces(effects, states) -> np.ndarray:
+    """``out[k, m] = Re tr(E_m rho_k)`` for every effect and state.
+
+    One stacked ``matmul`` and one stacked trace; each slice goes through
+    the same BLAS product and diagonal sum as ``np.trace(E @ rho)``.
+    """
+    products = np.matmul(np.asarray(effects)[None], np.asarray(states)[:, None])
+    return np.trace(products, axis1=2, axis2=3).real
+
+
+def _moments_against(prior: Prior, ta: float, tb: float, tc: float, policy: NumericPolicy) -> PosteriorMoments:
+    """Posterior moments of an outcome from its traces against rho_a, rho_b, rho_c."""
+    if tb < policy.zero_prob:
         return PosteriorMoments(
-            prob=max(prob, 0.0),
+            prob=max(tb, 0.0),
             estimate=prior.mean,
             second=prior.second_moment,
             variance=prior.variance,
             never_occurs=True,
         )
-    estimate = prior.mean * float(np.trace(effect.matrix @ rho_a).real) / prob
-    second = prior.second_moment * float(np.trace(effect.matrix @ rho_c).real) / prob
+    estimate = prior.mean * ta / tb
+    second = prior.second_moment * tc / tb
     variance = second - estimate * estimate
     if variance < -1e-12:
         raise BadParameter(f"posterior variance came out negative: {variance:.3e}")
-    return PosteriorMoments(prob, estimate, second, max(variance, 0.0))
+    return PosteriorMoments(tb, estimate, second, max(variance, 0.0))
 
 
-def _weighted_states(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix):
-    """Raw matrices of the three prior-weighted mixtures."""
+def _scored(effects, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix, policy: NumericPolicy):
+    """Posterior moments of every effect, from one stacked trace computation."""
+    ta, tb, tc = _traces(effects, _weighted_states(prior, rho1, rho2)).tolist()
+    return tuple(_moments_against(prior, a, b, c, policy) for a, b, c in zip(ta, tb, tc))
+
+
+def _mixtures(weights, rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
+    """Stack of ``w rho1 + (1 - w) rho2``, one matrix per weight, in one broadcast."""
+    w = np.array(weights)[:, None, None]
+    return w * rho1.matrix + (1.0 - w) * rho2.matrix
+
+
+def _weighted_states(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
+    """Raw matrices of the three prior-weighted mixtures rho_a, rho_b, rho_c."""
     w = prior.second_moment / prior.mean
     wc = prior.third_moment / prior.second_moment
-    rho_a = w * rho1.matrix + (1.0 - w) * rho2.matrix
-    rho_b = prior.mean * rho1.matrix + (1.0 - prior.mean) * rho2.matrix
-    rho_c = wc * rho1.matrix + (1.0 - wc) * rho2.matrix
-    return rho_a, rho_b, rho_c
+    return _mixtures([w, prior.mean, wc], rho1, rho2)
 
 
 def posterior_moments(
@@ -322,8 +335,7 @@ def posterior_moments(
         raise DimensionMismatch("effect and states must share one dimension")
     if prior.mean <= 0.0:
         raise ZeroMeanPrior("prior mean must be positive")
-    rho_a, rho_b, rho_c = _weighted_states(prior, rho1, rho2)
-    return _moments_against(effect, prior, rho_a, rho_b, rho_c, policy)
+    return _scored([effect.matrix], prior, rho1, rho2, policy)[0]
 
 
 def q_functional(
@@ -343,8 +355,7 @@ def q_functional(
         raise DimensionMismatch(f"POVM dim {povm.dim} vs state dim {rho1.dim}")
     if prior.mean <= 0.0:
         raise ZeroMeanPrior("prior mean must be positive")
-    rho_a, rho_b, rho_c = _weighted_states(prior, rho1, rho2)
-    per = tuple(_moments_against(e, prior, rho_a, rho_b, rho_c, policy) for e in povm)
+    per = _scored(povm.matrices(), prior, rho1, rho2, policy)
     # (mean * tr[E rho_a])^2 / tr[E rho_b] == prob * estimate^2
     q = sum(o.prob * o.estimate**2 for o in per if not o.never_occurs)
     return MeasurementScore(q_value=q, mean_variance=prior.second_moment - q, per_outcome=per)
@@ -369,14 +380,11 @@ def q_permutation_form(
     if prior.kind != UNIFORM:
         raise NonUniformPrior("the permutation-symmetric form is defined for the uniform prior")
     povm = as_povm(povm, policy)
-    diff = rho1.matrix - rho2.matrix
-    tot = rho1.matrix + rho2.matrix
+    tot, diff = _traces(povm.matrices(), (rho1.matrix + rho2.matrix, rho1.matrix - rho2.matrix)).tolist()
     acc = 0.0
-    for e in povm:
-        den = float(np.trace(e.matrix @ tot).real)
+    for den, num in zip(tot, diff):
         if den < 2.0 * policy.zero_prob:
             continue
-        num = float(np.trace(e.matrix @ diff).real)
         acc += num * num / (18.0 * den)
     return 0.25 * (1.0 + acc)
 

@@ -9,7 +9,8 @@ Prior JSON: ``{"kind": "uniform"}``, ``{"kind": "trunc_reciprocal",
 POVM JSON: ``{"effects": [M, ...]}``.
 
 Exit codes: 0 on success, 2 on input errors (including files that cannot
-be read or written), 3 when no reduction yields a valid measurement.
+be read or written, and a linear-algebra routine that fails on the input),
+3 when no reduction yields a valid measurement.
 stdout carries data only; diagnostics go to stderr.
 """
 
@@ -38,7 +39,7 @@ from .policy import DEFAULT_POLICY
 from .qubit import PlanarGeometry, optimal_alpha, optimal_pvm
 from .randutil import random_povm
 from .simulate import DecoherenceModel, run_simulation, solve_decay_estimation
-from .states import DensityMatrix, Povm, commutator_norm, validate_povm, validate_state
+from .states import DensityMatrix, Povm, commutator_norm, validate_povm, validate_state, validate_states
 
 
 def _fmt(x: float) -> str:
@@ -105,8 +106,7 @@ def load_problem(path: str, prior_override: Prior | None = None):
     if not isinstance(obj, dict):
         raise ParseError(f"{path} must hold a JSON object, not {type(obj).__name__}")
     try:
-        rho1 = validate_state(matrix_from_json(obj["rho1"]))
-        rho2 = validate_state(matrix_from_json(obj["rho2"]))
+        rho1, rho2 = validate_states([matrix_from_json(obj["rho1"]), matrix_from_json(obj["rho2"])])
     except KeyError as exc:
         raise ParseError(f"problem file misses {exc}") from exc
     prior = prior_override or prior_from_json(obj.get("prior", {"kind": "uniform"}))
@@ -401,7 +401,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UnsolvedCase:
         return 3
-    except (EstimationError, OSError) as exc:
+    except (EstimationError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

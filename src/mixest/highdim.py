@@ -46,7 +46,7 @@ from .states import (
     gell_mann_basis,
     make_operator_basis,
     validate_povm,
-    validate_state,
+    validate_states,
 )
 
 
@@ -176,8 +176,9 @@ def solve_two_dim_support(
     _check_problem(prior, rho1, rho2)
     d = rho1.dim
     v = joint_support(rho1, rho2, policy)
-    sub1 = validate_state(v.conj().T @ rho1.matrix @ v, _loosened(policy))
-    sub2 = validate_state(v.conj().T @ rho2.matrix @ v, _loosened(policy))
+    sub1, sub2 = validate_states(
+        [v.conj().T @ rho1.matrix @ v, v.conj().T @ rho2.matrix @ v], _loosened(policy)
+    )
 
     degenerate = False
     try:
@@ -239,8 +240,7 @@ def solve_pure_plus_noise(
     reject_degenerate_prior(prior, policy)
 
     projector = np.outer(psi, psi.conj())
-    rho1 = validate_state(projector, policy)
-    rho2 = validate_state(np.eye(d, dtype=complex) / d, policy)
+    rho1, rho2 = validate_states([projector, np.eye(d, dtype=complex) / d], policy)
     povm = validate_povm([projector, np.eye(d, dtype=complex) - projector], policy)
     score = q_functional(povm, prior, rho1, rho2, policy)
     reduced_q = _two_outcome_planar_q(prior, d)

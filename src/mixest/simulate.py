@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import EstimationReport, Prior, prior_from_decoherence, q_functional
+from .bayes import EstimationReport, Prior, _traces, prior_from_decoherence, q_functional
 from .errors import BadParameter, DegenerateProblem, RateOutOfRange, WrongShape
 from .highdim import ReductionOutcome, solve_pure_plus_noise
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .qubit import optimal_pvm
-from .states import DensityMatrix, Povm, as_povm, validate_state
+from .states import DensityMatrix, Povm, as_povm, validate_state, validate_states
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 65536  # trials per vectorised block; bounds the sampler's memory
@@ -120,8 +120,7 @@ def _sample_trials(
     """
     if n_trials < 1:
         raise BadParameter(f"need at least one trial, got {n_trials}")
-    t1 = np.array([float(np.trace(e.matrix @ rho1.matrix).real) for e in povm])
-    t2 = np.array([float(np.trace(e.matrix @ rho2.matrix).real) for e in povm])
+    t1, t2 = _traces(povm.matrices(), (rho1.matrix, rho2.matrix))
     key = int(seed) & _MASK64
     lam = np.empty(n_trials)
     outcome = np.empty(n_trials, dtype=np.intp)
@@ -330,8 +329,7 @@ def entanglement_demo(
     prior = prior or Prior.uniform()
     outcome = solve_pure_plus_noise(prior, psi, 4, policy)
     report = outcome.report
-    rho1 = validate_state(np.outer(psi, psi.conj()), policy)
-    rho2 = validate_state(np.eye(4, dtype=complex) / 4.0, policy)
+    rho1, rho2 = validate_states([np.outer(psi, psi.conj()), np.eye(4, dtype=complex) / 4.0], policy)
     lam, index = _sample_trials(prior, report.povm, rho1, rho2, n_trials, seed)
     est = np.array(report.estimates)[index]
 

@@ -3,7 +3,10 @@
 All types are immutable after construction (the wrapped arrays are made
 read-only), so they are safe to share across threads.  Validation happens
 in the ``validate_*`` constructors; the dataclasses themselves trust their
-inputs.
+inputs.  A list of same-shape matrices is validated as one stack, with one
+``eigvalsh`` call for all of them; the first offending matrix raises the
+error it would raise on its own.  Qubit Bloch coordinates are read from
+the matrix entries, which equals the Pauli traces exactly.
 """
 
 from __future__ import annotations
@@ -50,12 +53,53 @@ def _as_square_matrix(m) -> np.ndarray:
     return arr
 
 
-def _hermiticity_deviation(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T)))
+def _check_stack(stack: np.ndarray, policy: NumericPolicy, effect: bool) -> None:
+    """Raise the first failed check of the first offending matrix of a stack.
+
+    ``stack`` has shape (n, d, d).  Each matrix runs the checks in this
+    order: finite entries, Hermiticity, unit trace (states only), then the
+    smallest and (effects only) the largest eigenvalue of ``m/2 + m^H/2``,
+    taken in one ``eigvalsh`` over the matrices before the first non-finite
+    one.  Halving before adding cannot overflow, and every bound is written
+    so that NaN fails it.
+    """
+    finite = np.isfinite(stack).all(axis=(1, 2)).tolist()
+    m = stack[: finite.index(False) if False in finite else len(stack)]
+    dev = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
+    tr = np.trace(m, axis1=1, axis2=2).tolist()
+    half = m / 2
+    eigs = np.linalg.eigvalsh(half + half.conj().swapaxes(1, 2))
+    lo, hi = eigs[:, 0].tolist(), eigs[:, -1].tolist()  # eigvalsh sorts ascending
+    for dev_i, tr_i, lo_i, hi_i in zip(dev, tr, lo, hi):
+        if not dev_i <= policy.herm_tol:
+            raise NotHermitian(dev_i)
+        if not effect and not abs(tr_i - 1.0) <= policy.trace_tol:
+            raise NotUnitTrace(tr_i)
+        if not lo_i >= -policy.psd_tol:
+            raise NotPSD(lo_i)
+        if effect and not hi_i <= 1.0 + policy.effect_bound_tol:
+            raise EffectBoundExceeded(hi_i)
+    if len(m) < len(stack):
+        raise BadParameter("matrix has non-finite entries (nan or inf)")
 
 
-def _min_eigenvalue(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+def _checked(matrices, policy: NumericPolicy, effect: bool):
+    """Validate matrices in input order; return them as read-only copies.
+
+    Square matrices of one shape are checked as one stack; any other list
+    is checked one matrix at a time, so the first offending matrix raises
+    the same error either way.
+    """
+    matrices = list(matrices)
+    try:
+        stack = np.array(matrices, dtype=complex)
+    except (TypeError, ValueError):  # ragged or not numeric
+        stack = None
+    if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        return [_checked([_as_square_matrix(m)], policy, effect)[0] for m in matrices]
+    _check_stack(stack, policy, effect)
+    stack.setflags(write=False)
+    return stack
 
 
 @dataclass(frozen=True)
@@ -133,50 +177,44 @@ class OperatorBasis:
     generators: tuple[np.ndarray, ...]
 
 
+def validate_states(matrices, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[DensityMatrix, ...]:
+    """Validate matrices as density matrices, all in one pass.
+
+    Raises the error of the first offending matrix, as :func:`validate_state`
+    would for it.
+    """
+    return tuple(map(DensityMatrix, _checked(matrices, policy, effect=False)))
+
+
 def validate_state(m, policy: NumericPolicy = DEFAULT_POLICY) -> DensityMatrix:
     """Validate a matrix as a density matrix or raise a named violation.
 
     Raises
     ------
+    WrongDimension
+        The input is not a square matrix.
     BadParameter
         The matrix has a nan or infinite entry.
     NotHermitian, NotUnitTrace, NotPSD
         Each carries the offending magnitude.
     """
-    arr = _as_square_matrix(m)
-    dev = _hermiticity_deviation(arr)
-    if dev > policy.herm_tol:
-        raise NotHermitian(dev)
-    tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > policy.trace_tol:
-        raise NotUnitTrace(tr)
-    lo = _min_eigenvalue(arr)
-    if lo < -policy.psd_tol:
-        raise NotPSD(lo)
-    return DensityMatrix(_freeze(arr))
+    return validate_states([m], policy)[0]
 
 
 def validate_effect(m, policy: NumericPolicy = DEFAULT_POLICY) -> Effect:
     """Validate a matrix as a POVM effect (Hermitian, PSD, <= identity)."""
-    arr = _as_square_matrix(m)
-    dev = _hermiticity_deviation(arr)
-    if dev > policy.herm_tol:
-        raise NotHermitian(dev)
-    eigs = np.linalg.eigvalsh((arr + arr.conj().T) / 2)
-    if eigs[0] < -policy.psd_tol:
-        raise NotPSD(float(eigs[0]))
-    if eigs[-1] > 1.0 + policy.effect_bound_tol:
-        raise EffectBoundExceeded(float(eigs[-1]))
-    return Effect(_freeze(arr))
+    return Effect(_checked([m], policy, effect=True)[0])
 
 
 def validate_povm(matrices, policy: NumericPolicy = DEFAULT_POLICY) -> Povm:
     """Validate a list of matrices as a POVM.
 
-    Every element must be a valid effect and the sum must equal the
-    identity entrywise within ``policy.povm_sum_tol``.
+    Every element must be a valid effect, all checked in one pass, and the
+    sum must equal the identity entrywise within ``policy.povm_sum_tol``.
+    Effects of mixed dimensions are each validated before the mismatch is
+    reported.
     """
-    effects = tuple(validate_effect(m, policy) for m in matrices)
+    effects = tuple(map(Effect, _checked(matrices, policy, effect=True)))
     if not effects:
         raise InvalidPovm("a POVM needs at least one effect")
     dim = effects[0].dim
@@ -196,12 +234,21 @@ def as_povm(povm, policy: NumericPolicy = DEFAULT_POLICY) -> Povm:
     return validate_povm(povm, policy)
 
 
+def _pauli_coords(m: np.ndarray) -> tuple[float, float, float]:
+    """``(tr(sigma_x m), tr(sigma_y m), tr(sigma_z m))`` read from the entries.
+
+    The traces only multiply entries by 0 and +-1, so the sums below are
+    the same numbers; ``+ 0.0`` turns a zero into +0.0, as the traces give.
+    """
+    m00, m01, m10, m11 = m.ravel().tolist()
+    return (m10.real + m01.real + 0.0, m10.imag - m01.imag + 0.0, m00.real - m11.real + 0.0)
+
+
 def bloch_decompose(rho: DensityMatrix) -> BlochVector:
     """Bloch vector (tr(sigma_x rho), tr(sigma_y rho), tr(sigma_z rho)) of a qubit state."""
     if rho.dim != 2:
         raise WrongDimension(f"Bloch decomposition needs a qubit, got dim {rho.dim}")
-    m = rho.matrix
-    return BlochVector(*(float(np.trace(p @ m).real) for p in PAULIS))
+    return BlochVector(*_pauli_coords(rho.matrix))
 
 
 def bloch_compose(r, weight: float, policy: NumericPolicy = DEFAULT_POLICY) -> Effect:
@@ -229,7 +276,7 @@ def effect_bloch(effect: Effect) -> tuple[float, np.ndarray]:
     p = effect.weight()
     if p < 1e-300:
         return 0.0, np.zeros(3)
-    r = np.array([float(np.trace(s @ effect.matrix).real) for s in PAULIS]) / (2.0 * p)
+    r = np.array(_pauli_coords(effect.matrix)) / (2.0 * p)
     return p, r
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from mixest.bayes import (
+    PosteriorMoments,
     Prior,
     effective_states,
     posterior_moments,
@@ -18,6 +19,7 @@ from mixest.errors import (
     NonPositiveParameter,
     NonUniformPrior,
 )
+from mixest.policy import DEFAULT_POLICY
 from mixest.randutil import random_density, random_povm
 from mixest.states import validate_effect, validate_povm, validate_state
 
@@ -280,3 +282,107 @@ class TestPermutationForm:
     def test_rejects_non_uniform(self):
         with pytest.raises(NonUniformPrior):
             q_permutation_form(z_pvm(), Prior.truncated_reciprocal(1.0), Z0, Z1)
+
+
+# --- stacked traces against the per-effect formulas they replaced -----------
+
+
+def _reference_moments(effect, prior, rho_a, rho_b, rho_c, policy=DEFAULT_POLICY):
+    """The per-effect loop body: three ``np.trace(E @ rho)`` calls."""
+    prob = float(np.trace(effect.matrix @ rho_b).real)
+    if prob < policy.zero_prob:
+        return PosteriorMoments(max(prob, 0.0), prior.mean, prior.second_moment, prior.variance, True)
+    estimate = prior.mean * float(np.trace(effect.matrix @ rho_a).real) / prob
+    second = prior.second_moment * float(np.trace(effect.matrix @ rho_c).real) / prob
+    variance = second - estimate * estimate
+    return PosteriorMoments(prob, estimate, second, max(variance, 0.0))
+
+
+def _reference_score(povm, prior, rho1, rho2):
+    w = prior.second_moment / prior.mean
+    wc = prior.third_moment / prior.second_moment
+    rho_a = w * rho1.matrix + (1.0 - w) * rho2.matrix
+    rho_b = prior.mean * rho1.matrix + (1.0 - prior.mean) * rho2.matrix
+    rho_c = wc * rho1.matrix + (1.0 - wc) * rho2.matrix
+    per = [_reference_moments(e, prior, rho_a, rho_b, rho_c) for e in povm]
+    q = sum(o.prob * o.estimate**2 for o in per if not o.never_occurs)
+    return q, per
+
+
+def _reference_permutation_form(povm, rho1, rho2):
+    diff = rho1.matrix - rho2.matrix
+    tot = rho1.matrix + rho2.matrix
+    acc = 0.0
+    for e in povm:
+        den = float(np.trace(e.matrix @ tot).real)
+        if den < 2.0 * DEFAULT_POLICY.zero_prob:
+            continue
+        num = float(np.trace(e.matrix @ diff).real)
+        acc += num * num / (18.0 * den)
+    return 0.25 * (1.0 + acc)
+
+
+def _bits(x) -> str:
+    """Exact bit pattern of a float, sign of zero included."""
+    return float(x).hex()
+
+
+def _moment_bits(o):
+    return (_bits(o.prob), _bits(o.estimate), _bits(o.second), _bits(o.variance), o.never_occurs)
+
+
+GOLDEN_PRIORS = [
+    Prior.uniform(),
+    Prior.truncated_reciprocal(math.log(2)),
+    Prior.truncated_reciprocal(3.0),
+    Prior.from_table([0.0, 0.3, 1.0], [0.5, 1.5, 0.2]),
+]
+
+
+def _golden_problems(rng):
+    """Random problems at d = 2..6, then axis-aligned, real and diagonal ones with exact zeros."""
+    for dim in (2, 3, 4, 6):
+        for _ in range(6):
+            yield random_density(rng, dim), random_density(rng, dim), random_povm(rng, dim, int(rng.integers(2, 6)))
+    x_pvm = validate_povm([[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]])
+    y_pvm = validate_povm([[[0.5, -0.5j], [0.5j, 0.5]], [[0.5, 0.5j], [-0.5j, 0.5]]])
+    for pvm in (z_pvm(), x_pvm, y_pvm, validate_povm([np.eye(2)])):
+        for rho1, rho2 in ((Z0, Z1), (Z0, Z0), (Z0, MIXED), (validate_state(np.diag([0.7, 0.3])), Z1)):
+            yield rho1, rho2, pvm
+    diag3 = validate_povm([np.diag(row) for row in np.eye(3)])
+    yield validate_state(np.diag([0.5, 0.5, 0.0])), validate_state(np.diag([0.0, 0.0, 1.0])), diag3
+    real = validate_state(np.array([[0.5, 0.25, 0.0], [0.25, 0.3, 0.0], [0.0, 0.0, 0.2]]))
+    yield real, validate_state(np.eye(3) / 3), diag3
+
+
+class TestStackedTracesMatchPerEffectFormulas:
+    @pytest.mark.parametrize("prior", GOLDEN_PRIORS)
+    def test_q_functional_bit_for_bit(self, prior, rng):
+        for rho1, rho2, povm in _golden_problems(rng):
+            score = q_functional(povm, prior, rho1, rho2)
+            q, per = _reference_score(povm, prior, rho1, rho2)
+            assert _bits(score.q_value) == _bits(q)
+            assert _bits(score.mean_variance) == _bits(prior.second_moment - q)
+            assert [_moment_bits(o) for o in score.per_outcome] == [_moment_bits(o) for o in per]
+
+    @pytest.mark.parametrize("prior", GOLDEN_PRIORS)
+    def test_posterior_moments_bit_for_bit(self, prior, rng):
+        for rho1, rho2, povm in _golden_problems(rng):
+            _, per = _reference_score(povm, prior, rho1, rho2)
+            got = [posterior_moments(e, prior, rho1, rho2) for e in povm]
+            assert [_moment_bits(o) for o in got] == [_moment_bits(o) for o in per]
+
+    def test_permutation_form_bit_for_bit(self, rng):
+        for rho1, rho2, povm in _golden_problems(rng):
+            got = q_permutation_form(povm, UNIFORM, rho1, rho2)
+            assert _bits(got) == _bits(_reference_permutation_form(povm, rho1, rho2))
+
+    def test_effective_states_bit_for_bit(self, rng):
+        for rho1, rho2, _ in _golden_problems(rng):
+            for prior in GOLDEN_PRIORS:
+                rho_a, rho_b = effective_states(prior, rho1, rho2)
+                w = prior.second_moment / prior.mean
+                ref_a = validate_state(w * rho1.matrix + (1.0 - w) * rho2.matrix)
+                ref_b = validate_state(prior.mean * rho1.matrix + (1.0 - prior.mean) * rho2.matrix)
+                assert rho_a.matrix.tobytes() == ref_a.matrix.tobytes()
+                assert rho_b.matrix.tobytes() == ref_b.matrix.tobytes()

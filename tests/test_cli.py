@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mixest.cli import build_parser, main, matrix_from_json, matrix_to_json
+from mixest.states import PAULIS, BlochVector
 
 
 def write_json(path, obj):
@@ -237,6 +238,16 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    def test_povm_with_overflowing_entries_exit_two(self, tmp_path, capsys):
+        # finite entries whose eigenvalues are +-1.5e308: not an effect
+        problem = orthogonal_pure_problem(tmp_path)
+        e = np.array([[0.0, 1.5e308], [1.5e308, 0.0]])
+        povm = write_json(tmp_path / "povm.json", {"effects": [matrix_json(e), matrix_json(np.eye(2) - e)]})
+        assert main(["simulate", "--problem", problem, "--povm", povm, "--n-trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: matrix is not positive semidefinite")
+
     def test_round_trip_scoring(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         v = rng.normal(size=3)
@@ -338,3 +349,62 @@ class TestParserReuse:
         assert reused == fresh
         assert "explore_count" in reused[0][1] and "explore_count" not in reused[1][1]
         assert reused[2][1] == "" and reused[2][3] == reused[3][1]
+
+
+class TestLinAlgError:
+    def test_failed_decomposition_exit_two(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr("mixest.cli.optimal_pvm", no_convergence)
+        assert main(["solve", "--problem", orthogonal_pure_problem(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Eigenvalues did not converge\n"
+
+
+def _per_effect_traces(effects, states):
+    """The per-effect ``np.trace(E @ rho)`` loops that the stacked traces replaced."""
+    return np.array([[float(np.trace(e @ rho).real) for e in effects] for rho in states])
+
+
+def _trace_bloch(rho):
+    return BlochVector(*(float(np.trace(p @ rho.matrix).real) for p in PAULIS))
+
+
+DIAGONAL_PAIRS = [
+    (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+    (np.diag([0.7, 0.3]), np.diag([0.2, 0.8])),
+    (np.diag([0.5, 0.5]), np.diag([0.9, 0.1])),
+    (np.diag([0.6, 0.4]), np.diag([0.599, 0.401])),
+    (np.diag([0.0, 1.0]), np.eye(2) / 2),
+    (np.array([[0.5, 0.5], [0.5, 0.5]]), np.eye(2) / 2),
+    (np.array([[0.5, -0.5j], [0.5j, 0.5]]), np.diag([0.3, 0.7])),
+]
+
+
+class TestOutputMatchesPerEffectFormulas:
+    @pytest.mark.parametrize("pair", range(len(DIAGONAL_PAIRS)))
+    @pytest.mark.parametrize("prior", [{"kind": "uniform"}, {"kind": "trunc_reciprocal", "t_bmax": 1.3}])
+    def test_axis_aligned_qubit_problems_byte_identical(self, tmp_path, capsys, monkeypatch, pair, prior):
+        rho1, rho2 = DIAGONAL_PAIRS[pair]
+        problem = problem_file(tmp_path, rho1, rho2, prior)
+        calls = [
+            ["solve", "--problem", problem],
+            ["simulate", "--problem", problem, "--n-trials", "40", "--seed", "3",
+             "--trials-out", str(tmp_path / "trials.csv")],
+        ]
+
+        def run():
+            out = []
+            for argv in calls:
+                code = main(argv)
+                out.append((code, capsys.readouterr().out))
+            return out, (tmp_path / "trials.csv").read_bytes()
+
+        stacked = run()
+        monkeypatch.setattr("mixest.bayes._traces", _per_effect_traces)
+        monkeypatch.setattr("mixest.simulate._traces", _per_effect_traces)
+        monkeypatch.setattr("mixest.qubit.bloch_decompose", _trace_bloch)
+        assert run() == stacked
+        assert stacked[0][0][0] == 0

@@ -17,20 +17,25 @@ from mixest.errors import (
     VectorTooLong,
     WrongDimension,
 )
+from mixest.policy import DEFAULT_POLICY
 from mixest.randutil import random_density, random_povm, random_pure, random_commuting_pair
 from mixest.states import (
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
+    DensityMatrix,
     basis_compose,
     basis_decompose,
     bloch_compose,
     bloch_decompose,
     common_eigenbasis,
+    effect_bloch,
     gell_mann_basis,
     make_operator_basis,
     validate_effect,
     validate_povm,
     validate_state,
+    validate_states,
 )
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -285,3 +290,196 @@ class TestCommonEigenbasis:
                 diag = basis.conj().T @ rho.matrix @ basis
                 off = diag - np.diag(np.diag(diag))
                 assert np.max(np.abs(off)) < 1e-8
+
+
+# --- stacked validation and Pauli coordinates against the per-matrix code ----
+
+
+def _reference_square(m):
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise WrongDimension(f"expected a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise BadParameter("matrix has non-finite entries (nan or inf)")
+    return arr
+
+
+def _reference_state(m):
+    """The one-matrix validator that the stacked checks replaced."""
+    arr = _reference_square(m)
+    dev = float(np.max(np.abs(arr - arr.conj().T)))
+    if dev > DEFAULT_POLICY.herm_tol:
+        raise NotHermitian(dev)
+    tr = complex(np.trace(arr))
+    if abs(tr - 1.0) > DEFAULT_POLICY.trace_tol:
+        raise NotUnitTrace(tr)
+    lo = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2).min())
+    if lo < -DEFAULT_POLICY.psd_tol:
+        raise NotPSD(lo)
+    return arr
+
+
+def _reference_effect(m):
+    arr = _reference_square(m)
+    dev = float(np.max(np.abs(arr - arr.conj().T)))
+    if dev > DEFAULT_POLICY.herm_tol:
+        raise NotHermitian(dev)
+    eigs = np.linalg.eigvalsh((arr + arr.conj().T) / 2)
+    if eigs[0] < -DEFAULT_POLICY.psd_tol:
+        raise NotPSD(float(eigs[0]))
+    if eigs[-1] > 1.0 + DEFAULT_POLICY.effect_bound_tol:
+        raise EffectBoundExceeded(float(eigs[-1]))
+    return arr
+
+
+def _reference_povm(matrices):
+    effects = [_reference_effect(m) for m in matrices]
+    if not effects:
+        raise InvalidPovm("a POVM needs at least one effect")
+    if any(e.shape != effects[0].shape for e in effects):
+        raise DimensionMismatch("POVM effects have mixed dimensions")
+    dev = float(np.max(np.abs(sum(effects) - np.eye(len(effects[0])))))
+    if dev > DEFAULT_POLICY.povm_sum_tol:
+        raise InvalidPovm(f"effects do not sum to the identity: max deviation {dev:.3e}", dev)
+    return effects
+
+
+def _outcome(fn, arg):
+    """What a validator does with ``arg``: the error it raises, or the bytes it keeps."""
+    try:
+        out = fn(arg)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc).__name__, str(exc)
+    return "ok", [np.asarray(getattr(m, "matrix", m)).tobytes() for m in out]
+
+
+def _faulty(rng, m, kind):
+    """``m`` with one fault of the given kind; kind 0 leaves it valid."""
+    m = np.array(m, dtype=complex)
+    d = len(m)
+    size = rng.choice([1e-3, 3e-10, 3e-11])  # either side of the 1e-10 tolerances
+    if kind == 1:
+        m[0, d - 1] += size  # not Hermitian
+    elif kind == 2:
+        m = m + size * np.eye(d) / d  # trace off; an effect does not care
+    elif kind == 3:
+        m = m - size * np.eye(d) + rng.choice([0.0, size]) * np.eye(d) / d  # negative eigenvalue
+    elif kind == 4:
+        m = m * (1.0 + rng.choice([0.5, 3e-10, 3e-11]))  # eigenvalue above one, or trace off
+    elif kind == 5:
+        m[d - 1, 0] = rng.choice([np.nan, np.inf, -np.inf])
+    elif kind == 6:
+        m = m[:, :-1]  # not square
+    elif kind == 7:
+        m = np.eye(d + 1, dtype=complex) / (d + 1)  # another dimension
+    return m
+
+
+def _faulty_list(rng, matrices):
+    kinds = rng.choice(8, size=len(matrices), p=[0.65] + [0.05] * 7)
+    return [_faulty(rng, m, k) for m, k in zip(matrices, kinds)]
+
+
+class TestStackedValidationMatchesPerMatrixCode:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_states(self, dim, rng):
+        for _ in range(300):
+            mats = _faulty_list(rng, [random_density(rng, dim).matrix for _ in range(int(rng.integers(1, 5)))])
+            assert _outcome(validate_states, mats) == _outcome(lambda ms: [_reference_state(m) for m in ms], mats)
+            for m in mats:
+                assert _outcome(lambda x: [validate_state(x)], m) == _outcome(lambda x: [_reference_state(x)], m)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_effects_and_povms(self, dim, rng):
+        for _ in range(300):
+            mats = _faulty_list(rng, random_povm(rng, dim, int(rng.integers(2, 5))).matrices())
+            assert _outcome(validate_povm, mats) == _outcome(_reference_povm, mats)
+            for m in mats:
+                assert _outcome(lambda x: [validate_effect(x)], m) == _outcome(lambda x: [_reference_effect(x)], m)
+
+    def test_every_fault_kind_is_reached(self, rng):
+        seen = set()
+        for _ in range(300):
+            mats = _faulty_list(rng, random_povm(rng, 2, 3).matrices())
+            seen.add(_outcome(validate_povm, mats)[0])
+        assert seen == {"ok", "NotHermitian", "NotPSD", "EffectBoundExceeded", "BadParameter",
+                        "WrongDimension", "DimensionMismatch", "InvalidPovm"}
+
+    def test_ragged_input_raises_the_earlier_offender_first(self):
+        ragged = [[1.0, 0.0], [0.0]]
+        with pytest.raises(NotPSD):
+            validate_states([np.diag([1.5, -0.5]), ragged])
+        with pytest.raises(ValueError):
+            validate_states([np.eye(2) / 2, ragged])
+
+    def test_accepted_matrices_are_read_only_copies(self):
+        m = np.diag([0.25, 0.75]).astype(complex)
+        rho1, rho2 = validate_states([m, m])
+        assert rho1.matrix is not m and rho1.matrix.tobytes() == m.tobytes()
+        assert not rho1.matrix.flags.writeable and not rho2.matrix.flags.writeable
+        m[0, 0] = 0.5
+        assert rho1.matrix[0, 0] == 0.25
+
+
+class TestOverflowingEntries:
+    """Finite entries near 1e308 overflow ``(m + m^H)/2``; the eigenvalue checks must still bite."""
+
+    HUGE = np.array([[0.5, 1.5e308], [1.5e308, 0.5]])
+
+    def test_state_rejected(self):
+        with pytest.raises(NotPSD) as exc:
+            validate_state(self.HUGE)
+        assert exc.value.min_eigenvalue == pytest.approx(-1.5e308, rel=1e-12)
+
+    def test_povm_rejected(self):
+        e = np.array([[0.0, 1.5e308], [1.5e308, 0.0]])
+        with pytest.raises(NotPSD):
+            validate_povm([e, np.eye(2) - e])
+
+    def test_effect_rejected(self):
+        with pytest.raises(NotPSD):
+            validate_effect(np.array([[0.0, 1.7e308], [1.7e308, 0.0]]))
+
+    def test_normal_range_eigenvalues_unchanged(self, rng):
+        # m/2 + m^H/2 equals (m + m^H)/2 bit for bit when nothing overflows
+        for dim in (2, 3, 5):
+            for _ in range(50):
+                m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                half = m / 2
+                assert (half + half.conj().T).tobytes() == ((m + m.conj().T) / 2).tobytes()
+
+
+def _reference_pauli(m):
+    return [float(np.trace(p @ m).real) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestPauliCoordinatesMatchTraces:
+    def test_random_states_and_effects(self, rng):
+        for _ in range(300):
+            rho = random_density(rng, 2)
+            assert _bits(bloch_decompose(rho).as_array()) == _bits(_reference_pauli(rho.matrix))
+            for e in random_povm(rng, 2, 3):
+                p, r = effect_bloch(e)
+                want = np.array(_reference_pauli(e.matrix)) / (2.0 * p)
+                assert _bits(r) == _bits(want)
+
+    def test_signed_zeros_and_axis_aligned_entries(self):
+        # every real and imaginary part drawn from a set with both zeros
+        parts = [0.0, -0.0, 0.5, -0.5, 0.25]
+        rng = np.random.default_rng(7)
+        for _ in range(3000):
+            m = rng.choice(parts, size=(2, 2)) + 1j * rng.choice(parts, size=(2, 2))
+            m[rng.random((2, 2)) < 0.3] = -0.0 + 0.0j
+            rho = DensityMatrix(m)
+            assert _bits(bloch_decompose(rho).as_array()) == _bits(_reference_pauli(m))
+
+    def test_diagonal_and_real_states(self):
+        for m in (np.diag([0.7, 0.3]), np.diag([1.0, 0.0]), np.eye(2) / 2,
+                  np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([[0.5, -0.5j], [0.5j, 0.5]]),
+                  np.array([[0.5, -0.25], [-0.25, 0.5]])):
+            rho = validate_state(m)
+            assert _bits(bloch_decompose(rho).as_array()) == _bits(_reference_pauli(rho.matrix))
