@@ -9,8 +9,9 @@ Prior JSON: ``{"kind": "uniform"}``, ``{"kind": "trunc_reciprocal",
 POVM JSON: ``{"effects": [M, ...]}``.
 
 Exit codes: 0 on success, 2 on input errors (including files that cannot
-be read or written, and a linear-algebra routine that fails on the input),
-3 when no reduction yields a valid measurement.
+be read or written, a linear-algebra routine that fails on the input, and
+a trial count too large to allocate), 3 when no reduction yields a valid
+measurement.
 stdout carries data only; diagnostics go to stderr.
 """
 
@@ -53,11 +54,13 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad matrix object: {exc}") from exc
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ParseError(f"matrix dim must be an integer, got {dim!r}")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ParseError(f"matrix entries do not match dim={dim}")
     return re + 1j * im
@@ -401,7 +404,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UnsolvedCase:
         return 3
-    except (EstimationError, OSError, np.linalg.LinAlgError) as exc:
+    except (EstimationError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

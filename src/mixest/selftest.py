@@ -25,7 +25,7 @@ from .qubit import (
     split_effect,
 )
 from .randutil import random_density, random_povm
-from .simulate import _philox_uniforms, min_ppt_eigenvalue, noisy_state, ppt_threshold
+from .simulate import _LANES_MAX, _philox_uniforms, min_ppt_eigenvalue, noisy_state, ppt_threshold
 from .states import bloch_compose, bloch_decompose, validate_state
 
 
@@ -132,11 +132,13 @@ def _check_philox_stream(rng):
     # imported here, so that importing mixest does not load numpy.random
     from numpy.random import Generator, Philox
 
+    # one block on integer lanes, one above _LANES_MAX in numpy
     for key in (0, 2**64 - 1):
-        u_lam, u_outcome = _philox_uniforms(key, np.arange(64, dtype=np.uint64))
-        for i in range(64):
-            ref = Generator(Philox(key=key, counter=[0, 0, i, 0])).random(2)
-            assert (u_lam[i], u_outcome[i]) == (ref[0], ref[1])
+        for n in (64, _LANES_MAX + 1):
+            u_lam, u_outcome = _philox_uniforms(key, np.arange(n, dtype=np.uint64))
+            for i in range(n):
+                ref = Generator(Philox(key=key, counter=[0, 0, i, 0])).random(2)
+                assert (u_lam[i], u_outcome[i]) == (ref[0], ref[1])
 
 
 CHECKS: list[tuple[str, object]] = [

@@ -109,6 +109,15 @@ class TestSolve:
         assert main(["solve", "--problem", problem]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("dim", [2.7, 2.0, "2", True])
+    def test_non_integer_matrix_dim_exit_two(self, tmp_path, capsys, dim):
+        rho1 = dict(matrix_json(np.diag([1.0, 0.0])), dim=dim)
+        problem = write_json(tmp_path / "dim.json", {"rho1": rho1, "rho2": matrix_json(np.eye(2) / 2)})
+        assert main(["solve", "--problem", problem]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: matrix dim must be an integer")
+
     def test_negative_explore_exit_two(self, tmp_path, capsys):
         problem = orthogonal_pure_problem(tmp_path)
         assert main(["solve", "--problem", problem, "--explore", "-1"]) == 2
@@ -238,6 +247,22 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    def test_povm_with_non_integer_dim_exit_two(self, tmp_path, capsys):
+        problem = orthogonal_pure_problem(tmp_path)
+        effects = [matrix_json(np.diag([1.0, 0.0])), dict(matrix_json(np.diag([0.0, 1.0])), dim=2.0)]
+        povm = write_json(tmp_path / "povm.json", {"effects": effects})
+        assert main(["simulate", "--problem", problem, "--povm", povm, "--n-trials", "10"]) == 2
+        assert capsys.readouterr().err.startswith("error: matrix dim must be an integer")
+
+    def test_unallocatable_trial_count_exit_two(self, tmp_path, capsys):
+        # numpy refuses the 7 PiB array at once, before any memory is touched
+        problem = orthogonal_pure_problem(tmp_path)
+        assert main(["simulate", "--problem", problem, "--n-trials", "1000000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
     def test_povm_with_overflowing_entries_exit_two(self, tmp_path, capsys):
         # finite entries whose eigenvalues are +-1.5e308: not an effect
         problem = orthogonal_pure_problem(tmp_path)
@@ -311,6 +336,19 @@ class TestDecoherence:
     def test_nan_time_exit_two(self, capsys):
         assert main(["decoherence", "--s", "0.5", "--t", "nan", "--bmax", "1.0"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_rho0_with_non_integer_dim_exit_two(self, tmp_path, capsys):
+        rho0 = write_json(tmp_path / "rho0.json", dict(matrix_json(np.diag([1.0, 0.0])), dim="2"))
+        assert main(["decoherence", "--s", "0.5", "--t", "1.0", "--bmax", "1.0", "--rho0", rho0]) == 2
+        assert capsys.readouterr().err.startswith("error: matrix dim must be an integer")
+
+    def test_unallocatable_trial_count_exit_two(self, capsys):
+        argv = ["decoherence", "--s", "0.5", "--t", "1", "--bmax", "1", "--n-trials", "1000000000000000"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
 
 
 class TestSelftest:

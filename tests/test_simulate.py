@@ -363,27 +363,59 @@ def golden_problem(n_outcomes):
     return povm, rho1, rho2
 
 
+class TestPhiloxKernels:
+    """The integer-lane and numpy kernels against numpy's own Philox, word for word."""
+
+    LANES_MAX = mixest.simulate._LANES_MAX
+
+    def test_golden_trial_counts_straddle_the_kernel_switch(self):
+        # the golden tests below run each kernel only if this holds
+        assert 48 <= self.LANES_MAX < 300
+
+    @pytest.mark.parametrize("length", [1, LANES_MAX - 1, LANES_MAX, LANES_MAX + 1, 4 * LANES_MAX + 3])
+    @pytest.mark.parametrize("start", [2**32 - 100, 2**63 - 100])
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1, -5])
+    def test_kernels_match_numpy_philox(self, length, start, seed):
+        key = seed & MASK64
+        counters = np.arange(start, start + length, dtype=np.uint64)
+        # a uint64 counter array: Philox reads a list holding an int >= 2**63 as float64
+        full = np.zeros((length, 4), dtype=np.uint64)
+        full[:, 2] = counters
+        raw = np.array([Philox(key=key, counter=c).random_raw(2) for c in full])
+        for kernel in (mixest.simulate._philox_lanes, mixest.simulate._philox_numpy):
+            assert np.array_equal(kernel(key, counters), raw.T)
+        u_lam, u_outcome = mixest.simulate._philox_uniforms(key, counters)
+        for i in (0, length // 2, length - 1):
+            ref = Generator(Philox(key=key, counter=full[i])).random(2)
+            assert (u_lam[i], u_outcome[i]) == (ref[0], ref[1])
+
+
 class TestGoldenSampler:
     @pytest.mark.parametrize("prior_name", sorted(GOLDEN_PRIORS))
     @pytest.mark.parametrize("n_outcomes", [1, 2, 4, 6])
-    def test_matches_per_trial_loop(self, prior_name, n_outcomes):
+    @pytest.mark.parametrize("n_trials", [28, 300])  # integer lanes, numpy rounds
+    def test_matches_per_trial_loop(self, prior_name, n_outcomes, n_trials):
         prior = GOLDEN_PRIORS[prior_name]
         povm, rho1, rho2 = golden_problem(n_outcomes)
         for seed in GOLDEN_SEEDS:
-            expected = reference_simulation(povm, prior, rho1, rho2, 300, seed)
-            assert run_simulation(povm, prior, rho1, rho2, 300, seed, return_records=True) == expected
-            assert run_simulation(povm, prior, rho1, rho2, 300, seed) == expected[0]
+            expected = reference_simulation(povm, prior, rho1, rho2, n_trials, seed)
+            assert run_simulation(povm, prior, rho1, rho2, n_trials, seed, return_records=True) == expected
+            assert run_simulation(povm, prior, rho1, rho2, n_trials, seed) == expected[0]
 
-    def test_chunk_boundaries(self, monkeypatch):
+    # every block of 7 on numpy, every block on lanes, then six blocks on numpy and the last 4 on lanes
+    @pytest.mark.parametrize("lanes_max", [0, 256, 5])
+    def test_chunk_boundaries(self, monkeypatch, lanes_max):
         povm, rho1, rho2 = golden_problem(4)
         prior = GOLDEN_PRIORS["table"]
         expected = reference_simulation(povm, prior, rho1, rho2, 53, 2**64 - 1)
         demo = entanglement_demo(SINGLET, n_trials=53, seed=-5)
         monkeypatch.setattr(mixest.simulate, "_CHUNK", 7)
+        monkeypatch.setattr(mixest.simulate, "_LANES_MAX", lanes_max)
         assert run_simulation(povm, prior, rho1, rho2, 53, 2**64 - 1, return_records=True) == expected
         assert entanglement_demo(SINGLET, n_trials=53, seed=-5).rows == demo.rows
 
-    def test_trials_csv_bytes(self, tmp_path):
+    @pytest.mark.parametrize("n_trials", [48, 400])  # integer lanes, numpy rounds
+    def test_trials_csv_bytes(self, tmp_path, n_trials):
         povm, rho1, rho2 = golden_problem(6)
         effects = [matrix_to_json(e.matrix) for e in povm]
         problem, povm_file = tmp_path / "problem.json", tmp_path / "povm.json"
@@ -394,12 +426,12 @@ class TestGoldenSampler:
         }))
         povm_file.write_text(json.dumps({"effects": effects}))
         out, trials = tmp_path / "summary.csv", tmp_path / "trials.csv"
-        argv = ["simulate", "--problem", str(problem), "--povm", str(povm_file), "--n-trials", "400",
-                "--seed", "-5", "--out", str(out), "--trials-out", str(trials)]
+        argv = ["simulate", "--problem", str(problem), "--povm", str(povm_file), "--n-trials",
+                str(n_trials), "--seed", "-5", "--out", str(out), "--trials-out", str(trials)]
         assert main(argv) == 0
         loaded = validate_povm([matrix_from_json(e) for e in effects])
         summary, records = reference_simulation(
-            loaded, Prior.truncated_reciprocal(5.0), rho1, rho2, 400, -5
+            loaded, Prior.truncated_reciprocal(5.0), rho1, rho2, n_trials, -5
         )
         lines = ["trial,true_lambda,outcome_index,estimate,squared_error"] + [
             f"{i},{r.true_lambda:.17g},{r.outcome_index},{r.estimate:.17g},{r.squared_error:.17g}"
@@ -407,12 +439,13 @@ class TestGoldenSampler:
         ]
         assert trials.read_bytes() == ("\n".join(lines) + "\n").encode()
         assert out.read_text().splitlines()[1] == (
-            f"{summary.seed},400,{summary.empirical_mse:.17g},"
+            f"{summary.seed},{n_trials},{summary.empirical_mse:.17g},"
             f"{summary.analytic_mean_variance:.17g},{summary.std_error:.17g}"
         )
 
     @pytest.mark.parametrize("state", range(8))
-    def test_demo_matches_eigenvalue_loop(self, state):
+    @pytest.mark.parametrize("n_trials", [28, 300])  # integer lanes, numpy rounds
+    def test_demo_matches_eigenvalue_loop(self, state, n_trials):
         rng = np.random.default_rng(90 + state)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         if state == 0:
@@ -421,8 +454,8 @@ class TestGoldenSampler:
             psi = np.array([1.0, 0.0, 0.0, 0.0])  # product state: never entangled
         prior = Prior.truncated_reciprocal(2.0) if state % 2 else Prior.uniform()
         seed = GOLDEN_SEEDS[state % len(GOLDEN_SEEDS)]
-        demo = entanglement_demo(psi, prior, n_trials=300, seed=seed)
-        expected = reference_demo_rows(psi, prior, 300, seed)
+        demo = entanglement_demo(psi, prior, n_trials=n_trials, seed=seed)
+        expected = reference_demo_rows(psi, prior, n_trials, seed)
         assert len(demo.rows) == len(expected)
         for row, ref in zip(demo.rows, expected):
             assert (row.true_lambda, row.estimate) == (ref.true_lambda, ref.estimate)
