@@ -25,6 +25,7 @@ from .highdim import (
     ReductionOutcome,
     aligned_basis,
     embed_and_check,
+    solve,
     solve_commuting,
     solve_pure_plus_noise,
     solve_two_dim_support,
@@ -112,6 +113,7 @@ __all__ = [
     "q_permutation_form",
     "reduce_to_plane",
     "run_simulation",
+    "solve",
     "solve_commuting",
     "solve_decay_estimation",
     "solve_pure_plus_noise",

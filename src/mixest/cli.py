@@ -1,5 +1,9 @@
 """Command-line interface: solve, simulate, sweep-gamma, decoherence, selftest.
 
+``solve`` and ``simulate --povm optimal`` take their measurement from
+:func:`mixest.solve`; the CLI only loads, formats and, for ``solve
+--explore``, scores random POVMs as a baseline.
+
 File formats
 ------------
 Matrix JSON: ``{"dim": d, "re": [[...]], "im": [[...]]}`` (row-major).
@@ -9,8 +13,9 @@ Prior JSON: ``{"kind": "uniform"}``, ``{"kind": "trunc_reciprocal",
 POVM JSON: ``{"effects": [M, ...]}``.
 
 Exit codes: 0 on success, 2 on input errors (including files that cannot
-be read or written, a linear-algebra routine that fails on the input, and
-a trial count too large to allocate), 3 when no reduction yields a valid
+be read or written, a negative seed for ``solve --explore`` or
+``selftest``, a linear-algebra routine that fails on the input, and a
+trial count too large to allocate), 3 when no reduction yields a valid
 measurement.
 stdout carries data only; diagnostics go to stderr.
 """
@@ -27,20 +32,11 @@ import numpy as np
 
 from .bayes import EstimationReport, Prior, q_functional
 from .errors import EstimationError, ParseError, BadParameter, UnsolvedCase
-from .highdim import (
-    ReductionKind,
-    ReductionOutcome,
-    embed_and_check,
-    solve_commuting,
-    solve_pure_plus_noise,
-    solve_two_dim_support,
-    support_rank,
-)
-from .policy import DEFAULT_POLICY
-from .qubit import PlanarGeometry, optimal_alpha, optimal_pvm
+from .highdim import solve
+from .qubit import PlanarGeometry, optimal_alpha
 from .randutil import random_povm
 from .simulate import DecoherenceModel, run_simulation, solve_decay_estimation
-from .states import DensityMatrix, Povm, commutator_norm, validate_povm, validate_state, validate_states
+from .states import Povm, validate_povm, validate_state, validate_states
 
 
 def _fmt(x: float) -> str:
@@ -153,67 +149,6 @@ def _report_json(kind: str, report: EstimationReport, extra: dict | None = None)
     return out
 
 
-def _is_pure_plus_noise(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray | None:
-    d = rho1.dim
-    if np.max(np.abs(rho2.matrix - np.eye(d) / d)) > 1e-10:
-        return None
-    evals, vecs = np.linalg.eigh(rho1.matrix)
-    if evals[-1] < 1.0 - 1e-10:
-        return None
-    return vecs[:, -1]
-
-
-def dispatch_solve(rho1, rho2, prior, explore: int = 0, seed: int = 0) -> dict:
-    """Route a problem to the right solver and build the output record."""
-    if rho1.dim != rho2.dim:
-        raise BadParameter(f"states have different dimensions {rho1.dim} vs {rho2.dim}")
-    if rho1.dim == 2:
-        report = optimal_pvm(prior, rho1, rho2)
-        result = _report_json("qubit", report)
-    else:
-        psi = _is_pure_plus_noise(rho1, rho2)
-        if psi is not None:
-            # checked before the commuting route, which would also apply
-            # (white noise commutes with everything) but reports the
-            # finer-grained eigenbasis measurement at the same score
-            outcome = solve_pure_plus_noise(prior, psi, rho1.dim)
-        elif commutator_norm(rho1, rho2) < DEFAULT_POLICY.commute_tol:
-            outcome = solve_commuting(prior, rho1, rho2)
-        elif support_rank(rho1, rho2) <= 2:
-            outcome = solve_two_dim_support(prior, rho1, rho2)
-        else:
-            outcome = embed_and_check(prior, rho1, rho2)
-        result = _outcome_json(outcome)
-    if explore > 0:
-        rng = np.random.default_rng(seed)
-        best = -math.inf
-        for _ in range(explore):
-            povm = random_povm(rng, rho1.dim, n_effects=min(rho1.dim + 2, 6))
-            best = max(best, q_functional(povm, prior, rho1, rho2).q_value)
-        result["explore_best_random_q"] = best
-        result["explore_count"] = explore
-    return result
-
-
-def _outcome_json(outcome: ReductionOutcome) -> dict:
-    if outcome.kind is ReductionKind.UNREDUCED:
-        return {
-            "kind": outcome.kind.value,
-            "positivity_ok": False,
-            "certificate": outcome.certificate,
-            "min_eigenvalue": outcome.min_eigenvalue,
-            "candidate_effects": [matrix_to_json(m) for m in outcome.candidate_effects],
-            "reduced_q": outcome.reduced_q,
-        }
-    extra = {
-        "certificate": outcome.certificate,
-        "reduced_q": outcome.reduced_q,
-    }
-    out = _report_json(outcome.kind.value, outcome.report, extra)
-    out["degenerate"] = outcome.degenerate
-    return out
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -229,24 +164,42 @@ def cmd_solve(args) -> int:
         raise ParseError(f"options.explore must be an integer, got {explore!r}")
     if explore < 0:
         raise BadParameter(f"explore must be non-negative, got {explore}")
-    result = dispatch_solve(rho1, rho2, prior, explore=explore, seed=args.seed)
+    if explore > 0 and args.seed < 0:
+        raise BadParameter(f"seed must be non-negative, got {args.seed}")
+    outcome = solve(prior, rho1, rho2)
+    if outcome.report is None:
+        result = {
+            "kind": outcome.kind.value,
+            "positivity_ok": False,
+            "certificate": outcome.certificate,
+            "min_eigenvalue": outcome.min_eigenvalue,
+            "candidate_effects": [matrix_to_json(m) for m in outcome.candidate_effects],
+            "reduced_q": outcome.reduced_q,
+        }
+    else:
+        result = _report_json(outcome.kind.value, outcome.report, {"certificate": outcome.certificate})
+    if explore > 0:
+        rng = np.random.default_rng(args.seed)
+        best = -math.inf
+        for _ in range(explore):
+            povm = random_povm(rng, rho1.dim, n_effects=min(rho1.dim + 2, 6))
+            best = max(best, q_functional(povm, prior, rho1, rho2).q_value)
+        result["explore_best_random_q"] = best
+        result["explore_count"] = explore
     _write_text(args.out, json.dumps(result, indent=2) + "\n")
-    if result["kind"] == "unreduced":
-        print(
-            f"unsolved case: {result['certificate']}",
-            file=sys.stderr,
-        )
-        raise UnsolvedCase(result["certificate"])
+    if outcome.report is None:
+        print(f"unsolved case: {outcome.certificate}", file=sys.stderr)
+        raise UnsolvedCase(outcome.certificate)
     return 0
 
 
 def cmd_simulate(args) -> int:
     rho1, rho2, prior, _ = load_problem(args.problem, _prior_from_arg(args.prior))
     if args.povm == "optimal":
-        result = dispatch_solve(rho1, rho2, prior)
-        if "outcomes" not in result:
+        report = solve(prior, rho1, rho2).report
+        if report is None:
             raise UnsolvedCase("no valid measurement to simulate")
-        povm = validate_povm([matrix_from_json(o["effect"]) for o in result["outcomes"]])
+        povm = report.povm
     else:
         povm = load_povm(args.povm)
     want_records = args.trials_out is not None

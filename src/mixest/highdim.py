@@ -1,17 +1,21 @@
-"""Reductions of higher-dimensional estimation problems.
+"""Solver entry point for problems in any dimension d >= 2.
 
-Four routes, in the order the dispatcher tries them:
+:func:`solve` tries the routes in this order and returns the first that
+applies:
 
+* qubits -> the closed-form optimal PVM of :func:`optimal_pvm`,
+* a pure state mixed with white noise -> the two-outcome subspace test
+  on the pure state,
 * commuting states -> projective measurement in the common eigenbasis,
 * states supported on one two-dimensional subspace -> solve the induced
   qubit problem and lift the projectors back,
-* a pure state mixed with white noise -> the two-outcome subspace test
-  on the pure state,
 * otherwise, embed the two states in a two-generator coordinate plane,
   solve the planar problem there, and rebuild a candidate two-outcome
   measurement.  The rebuilt effects need not be positive in dimension
   three or higher; when positivity fails the outcome is marked
   "unreduced" and no optimality claim is made.
+
+Every solved route scores its measurement with :func:`q_functional`.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .errors import (
     DegenerateProblem,
     DimensionMismatch,
     SupportTooLarge,
+    WrongDimension,
     WrongShape,
 )
 from .policy import DEFAULT_POLICY, NumericPolicy
@@ -51,6 +56,7 @@ from .states import (
 
 
 class ReductionKind(str, Enum):
+    QUBIT = "qubit"
     COMMUTING = "commuting"
     TWO_DIM_SUBSPACE = "two_dim_subspace"
     PURE_WITH_NOISE = "pure_with_noise"
@@ -60,36 +66,70 @@ class ReductionKind(str, Enum):
 
 @dataclass(frozen=True)
 class ReductionOutcome:
-    """Result of a reduction: the lifted measurement plus bookkeeping.
+    """Result of a route: the measurement, its score and how it was found.
 
-    ``reduced_q`` is the score computed inside the reduced representation;
-    it must agree with the full-dimensional score of ``lifted_povm``.  For
-    an unreduced outcome the candidate effects are kept raw (they failed
-    positivity) and ``report`` is absent.
+    A solved route carries its ``report``.  An unreduced outcome has no
+    report: it keeps the raw candidate effects (they failed positivity)
+    and ``reduced_q``, the planar optimum they were built from.
     """
 
     kind: ReductionKind
     certificate: str
-    positivity_ok: bool
-    reduced_q: float
     report: EstimationReport | None = None
+    reduced_q: float | None = None
     candidate_effects: tuple[np.ndarray, ...] | None = None
     min_eigenvalue: float | None = None
-    degenerate: bool = False
-
-    @property
-    def lifted_povm(self) -> Povm | None:
-        return self.report.povm if self.report is not None else None
-
-    @property
-    def score(self):
-        return self.report.score if self.report is not None else None
 
 
-def _check_problem(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> None:
+def solve(
+    prior: Prior,
+    rho1: DensityMatrix,
+    rho2: DensityMatrix,
+) -> ReductionOutcome:
+    """The Bayes-optimal measurement for ``lam rho1 + (1 - lam) rho2``.
+
+    Picks the first route that applies, in the order of the module
+    docstring.  A pure state against white noise is tested before the
+    commuting route, which would also apply (white noise commutes with
+    everything) but reports the finer eigenbasis measurement at the same
+    score.
+    """
+    if rho1.dim != rho2.dim:
+        raise DimensionMismatch(f"states have different dimensions {rho1.dim} vs {rho2.dim}")
+    d = rho1.dim
+    if d < 2:
+        raise WrongDimension(f"states are {d}x{d} matrices; the problem needs dimension >= 2")
+    if d == 2:
+        return ReductionOutcome(
+            kind=ReductionKind.QUBIT,
+            certificate="closed-form optimal angle of the qubit problem",
+            report=optimal_pvm(prior, rho1, rho2),
+        )
+    psi = _pure_state_against_noise(rho1, rho2)
+    if psi is not None:
+        return solve_pure_plus_noise(prior, psi, d)
+    if commutator_norm(rho1, rho2) < DEFAULT_POLICY.commute_tol:
+        return solve_commuting(prior, rho1, rho2)
+    if support_rank(rho1, rho2) <= 2:
+        return solve_two_dim_support(prior, rho1, rho2)
+    return embed_and_check(prior, rho1, rho2)
+
+
+def _pure_state_against_noise(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray | None:
+    """The pure state of rho1 when rho2 is white noise and rho1 is pure, else None."""
+    d = rho1.dim
+    if np.max(np.abs(rho2.matrix - np.eye(d) / d)) > 1e-10:
+        return None
+    evals, vecs = np.linalg.eigh(rho1.matrix)
+    if evals[-1] < 1.0 - 1e-10:
+        return None
+    return vecs[:, -1]
+
+
+def _check_problem(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix, policy: NumericPolicy) -> None:
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} vs {rho2.dim}")
-    reject_degenerate_prior(prior)
+    reject_degenerate_prior(prior, policy)
 
 
 def solve_commuting(
@@ -102,24 +142,11 @@ def solve_commuting(
 
     The rank-one PVM is the finest measurement commuting with both states;
     merging outcomes with equal eigenvalue pairs would not change the
-    score, and refining cannot hurt it.  The score is computed from the
-    eigenvalue lists and cross-checked against the lifted measurement.
+    score, and refining cannot hurt it.
     """
-    _check_problem(prior, rho1, rho2)
+    _check_problem(prior, rho1, rho2, policy)
     basis = common_eigenbasis(rho1, rho2, policy)  # raises NotCommuting
     d = rho1.dim
-    t = np.real(np.diag(basis.conj().T @ rho1.matrix @ basis))
-    s = np.real(np.diag(basis.conj().T @ rho2.matrix @ basis))
-
-    w = prior.second_moment / prior.mean
-    reduced_q = 0.0
-    for ti, si in zip(t, s):
-        tb = prior.mean * ti + (1.0 - prior.mean) * si
-        if tb < policy.zero_prob:
-            continue
-        ta = w * ti + (1.0 - w) * si
-        reduced_q += (prior.mean * ta) ** 2 / tb
-
     povm = validate_povm([np.outer(basis[:, i], basis[:, i].conj()) for i in range(d)], policy)
     score = q_functional(povm, prior, rho1, rho2, policy)
     degenerate = float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= policy.degenerate_tol
@@ -127,10 +154,7 @@ def solve_commuting(
     return ReductionOutcome(
         kind=ReductionKind.COMMUTING,
         certificate=f"common eigenbasis of commuting states (commutator norm {commutator_norm(rho1, rho2):.2e})",
-        positivity_ok=True,
-        reduced_q=reduced_q,
         report=report,
-        degenerate=degenerate,
     )
 
 
@@ -173,7 +197,7 @@ def solve_two_dim_support(
     support; the complement of the subspace is appended as a third,
     zero-information outcome.  Positivity is automatic.
     """
-    _check_problem(prior, rho1, rho2)
+    _check_problem(prior, rho1, rho2, policy)
     d = rho1.dim
     v = joint_support(rho1, rho2, policy)
     sub1, sub2 = validate_states(
@@ -183,13 +207,11 @@ def solve_two_dim_support(
     degenerate = False
     try:
         sub_report = optimal_pvm(prior, sub1, sub2, policy)
-        sub_q = sub_report.score.q_value
         sub_effects = sub_report.povm.matrices()
         alpha0 = sub_report.alpha0
     except DegenerateProblem:
         degenerate = True
         sub_effects = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-        sub_q = prior.mean**2
         alpha0 = None
 
     lifted = [v @ e @ v.conj().T for e in sub_effects]
@@ -202,10 +224,7 @@ def solve_two_dim_support(
     return ReductionOutcome(
         kind=ReductionKind.TWO_DIM_SUBSPACE,
         certificate="qubit problem on the joint two-dimensional support, projectors lifted back",
-        positivity_ok=True,
-        reduced_q=sub_q,
         report=report,
-        degenerate=degenerate,
     )
 
 
@@ -243,31 +262,12 @@ def solve_pure_plus_noise(
     rho1, rho2 = validate_states([projector, np.eye(d, dtype=complex) / d], policy)
     povm = validate_povm([projector, np.eye(d, dtype=complex) - projector], policy)
     score = q_functional(povm, prior, rho1, rho2, policy)
-    reduced_q = _two_outcome_planar_q(prior, d)
     report = EstimationReport(povm=povm, score=score, prior=prior, alpha0=0.0)
     return ReductionOutcome(
         kind=ReductionKind.PURE_WITH_NOISE,
         certificate="subspace test on the pure state against white noise",
-        positivity_ok=True,
-        reduced_q=reduced_q,
         report=report,
     )
-
-
-def _two_outcome_planar_q(prior: Prior, d: int) -> float:
-    """Planar-coordinate score of {P, I - P} for pure-plus-noise inputs.
-
-    In the aligned coordinates the pure state sits at 1 and the noise at
-    the origin; the projector carries weight 1/d at radius d - 1, the
-    complement weight (d-1)/d at radius -1.
-    """
-    m1 = prior.mean
-    w = prior.second_moment / prior.mean
-    x_a, x_b = w, m1
-    dr = x_a - x_b
-    term1 = (1.0 / d) * ((d - 1) * dr) ** 2 / (1.0 + (d - 1) * x_b)
-    term2 = ((d - 1) / d) * dr**2 / (1.0 - x_b)
-    return m1**2 * (1.0 + term1 + term2)
 
 
 def aligned_basis(
@@ -356,7 +356,7 @@ def embed_and_check(
     have the states in the span of its first two generators, or
     :class:`BasisAlignmentFailed` is raised.
     """
-    _check_problem(prior, rho1, rho2)
+    _check_problem(prior, rho1, rho2, policy)
     d = rho1.dim
     if float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= policy.degenerate_tol:
         raise DegenerateProblem("rho1 = rho2")
@@ -393,54 +393,36 @@ def embed_and_check(
             float(np.linalg.eigvalsh((first + first.conj().T) / 2).min()),
             float(np.linalg.eigvalsh((second + second.conj().T) / 2).min()),
         )
-        candidates.append((v, first, second, min_eig))
+        candidates.append((first, second, min_eig))
 
-    feasible = [c for c in candidates if c[3] >= -policy.psd_tol]
+    feasible = [c for c in candidates if c[2] >= -policy.psd_tol]
     if not feasible:
-        v, first, second, min_eig = candidates[0]
+        first, second, min_eig = candidates[0]
         return ReductionOutcome(
             kind=ReductionKind.UNREDUCED,
             certificate=(
                 "embedded candidate effects are not positive "
                 f"(min eigenvalue {min_eig:.3e}); no optimality claim"
             ),
-            positivity_ok=False,
             reduced_q=sol.q_max,
             candidate_effects=(first, second),
             min_eigenvalue=min_eig,
         )
 
     best = None
-    for v, first, second, min_eig in feasible:
+    for first, second, min_eig in feasible:
         povm = validate_povm([first, second], _loosened(policy))
         score = q_functional(povm, prior, rho1, rho2, policy)
-        reduced_q = _embedded_planar_q(prior, d, v, r_a, r_b)
         if best is None or score.q_value > best[1].q_value:
-            best = (povm, score, reduced_q, min_eig)
-    povm, score, reduced_q, min_eig = best
+            best = (povm, score, min_eig)
+    povm, score, min_eig = best
     report = EstimationReport(povm=povm, score=score, prior=prior, alpha0=sol.alpha)
     return ReductionOutcome(
         kind=ReductionKind.EMBEDDED,
         certificate="two-generator embedding; rebuilt effects are positive",
-        positivity_ok=True,
-        reduced_q=reduced_q,
         report=report,
         min_eigenvalue=min_eig,
     )
-
-
-def _embedded_planar_q(prior: Prior, d: int, v: np.ndarray, r_a: np.ndarray, r_b: np.ndarray) -> float:
-    """Planar score of the candidate pair {O(v), I - O(v)} in coordinates."""
-    m1 = prior.mean
-    dr = r_a - r_b
-    pairs = ((1.0 / d, (d - 1.0) * v), ((d - 1.0) / d, -v))
-    total = 0.0
-    for p, r in pairs:
-        den = 1.0 + float(r @ r_b)
-        if den < 1e-14:
-            continue
-        total += p * float(r @ dr) ** 2 / den
-    return m1**2 * (1.0 + total)
 
 
 def pinch_to_basis(povm: Povm, basis: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> Povm:

@@ -13,6 +13,7 @@ import traceback
 import numpy as np
 
 from .bayes import Prior, effective_states, q_functional, q_permutation_form
+from .errors import BadParameter
 from .policy import DEFAULT_POLICY
 from .qubit import (
     PlanarGeometry,
@@ -155,6 +156,8 @@ CHECKS: list[tuple[str, object]] = [
 
 
 def run_selftest(seed: int = 0) -> int:
+    if seed < 0:
+        raise BadParameter(f"seed must be non-negative, got {seed}")
     failures = 0
     for index, (name, check) in enumerate(CHECKS):
         rng = np.random.default_rng([seed, index])

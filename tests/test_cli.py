@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from mixest.cli import build_parser, main, matrix_from_json, matrix_to_json
+from mixest.cli import build_parser, load_problem, main, matrix_from_json, matrix_to_json
+from mixest.highdim import solve
+from mixest.randutil import haar_vector, random_commuting_pair, random_density
 from mixest.states import PAULIS, BlochVector
 
 
@@ -27,6 +29,29 @@ def problem_file(tmp_path, rho1, rho2, prior=None, name="problem.json", options=
 
 def orthogonal_pure_problem(tmp_path):
     return problem_file(tmp_path, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+
+
+def one_by_one_problem(tmp_path):
+    return problem_file(tmp_path, np.eye(1), np.eye(1))
+
+
+def tilted_noise_pair(rng, dim, eps, weight=1.0, skew=0.0):
+    """A pure state, mixed into white noise at ``weight``, against noise tilted by ``eps``.
+
+    The tilt is eps (|psi><chi| + h.c.) with chi orthogonal to psi, so the
+    states do not commute, and the embedding's rebuilt effects miss
+    positivity only at order eps^2 (about 1e-13 at eps = 1e-6).  ``skew``
+    adds skew (|psi><chi| - h.c.), an anti-Hermitian part that the state
+    check tolerates.
+    """
+    psi = haar_vector(rng, dim)
+    chi = haar_vector(rng, dim)
+    chi -= np.vdot(psi, chi) * psi
+    chi /= np.linalg.norm(chi)
+    a = np.outer(psi, chi.conj())
+    rho1 = (1.0 - weight) * np.eye(dim) / dim + weight * np.outer(psi, psi.conj())
+    rho2 = np.eye(dim) / dim + eps * (a + a.conj().T) + skew * (a - a.conj().T)
+    return rho1, rho2
 
 
 class TestSolve:
@@ -125,6 +150,19 @@ class TestSolve:
         problem = problem_file(tmp_path, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), options={"explore": -3})
         assert main(["solve", "--problem", problem]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_explore_seed_exit_two(self, tmp_path, capsys):
+        problem = orthogonal_pure_problem(tmp_path)
+        assert main(["solve", "--problem", problem, "--explore", "3", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative, got -1\n"
+
+    def test_one_by_one_states_exit_two(self, tmp_path, capsys):
+        assert main(["solve", "--problem", one_by_one_problem(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: states are 1x1 matrices")
 
     def test_unwritable_out_exit_two(self, tmp_path, capsys):
         problem = orthogonal_pure_problem(tmp_path)
@@ -273,6 +311,65 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith("error: matrix is not positive semidefinite")
 
+    def test_one_by_one_states_exit_two(self, tmp_path, capsys):
+        assert main(["simulate", "--problem", one_by_one_problem(tmp_path), "--n-trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: states are 1x1 matrices")
+
+    @pytest.mark.parametrize("n_trials", [60, 300])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_optimal_povm_matches_json_round_trip(self, tmp_path, capsys, dim, n_trials):
+        # the reference sends the solved POVM through matrix_to_json, then
+        # --povm reads it back with matrix_from_json and validate_povm
+        rng = np.random.default_rng(dim)
+        psi = haar_vector(rng, dim)
+        pairs = [
+            tuple(s.matrix for s in random_commuting_pair(rng, dim)),
+            (np.outer(psi, psi.conj()), np.eye(dim) / dim),
+        ]
+        v, _ = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))
+        pairs.append(tuple(v @ random_density(rng, 2).matrix @ v.conj().T for _ in range(2)))
+        pairs.append(tilted_noise_pair(rng, dim, 1e-6))
+        kinds = []
+        trials = tmp_path / "trials.csv"
+
+        def simulate(problem, povm):
+            argv = ["simulate", "--problem", problem, "--povm", povm, "--n-trials", str(n_trials),
+                    "--seed", "11", "--trials-out", str(trials)]
+            return main(argv), capsys.readouterr(), trials.read_bytes()
+
+        for k, (rho1, rho2) in enumerate(pairs):
+            for prior in ({"kind": "uniform"}, {"kind": "trunc_reciprocal", "t_bmax": 1.3}):
+                problem = problem_file(tmp_path, rho1, rho2, prior, name=f"p{k}.json")
+                s1, s2, loaded_prior, _ = load_problem(problem)
+                outcome = solve(loaded_prior, s1, s2)
+                kinds.append(outcome.kind.value)
+                effects = [matrix_to_json(e.matrix) for e in outcome.report.povm]
+                povm = write_json(tmp_path / "povm.json", {"effects": effects})
+                direct = simulate(problem, "optimal")
+                assert direct[0] == 0
+                assert simulate(problem, povm) == direct
+        if dim > 2:
+            routes = ["commuting", "pure_with_noise", "two_dim_subspace", "embedded"]
+            assert kinds == [k for k in routes for _ in range(2)]
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_optimal_povm_simulates_what_solve_reports(self, tmp_path, capsys, dim):
+        # the embedding checks its rebuilt effects at herm_tol 1e-9; these are
+        # off Hermitian by 3e-10 to 6e-10, so --povm FILE (herm_tol 1e-10)
+        # refuses them, while solve and simulate --povm optimal accept them
+        rho1, rho2 = tilted_noise_pair(np.random.default_rng(dim), dim, 1e-6, weight=0.1, skew=4e-11)
+        problem = problem_file(tmp_path, rho1, rho2)
+        assert main(["solve", "--problem", problem]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["kind"] == "embedded"
+        assert main(["simulate", "--problem", problem, "--povm", "optimal", "--n-trials", "60"]) == 0
+        assert capsys.readouterr().out.startswith("seed,n_trials,")
+        povm = write_json(tmp_path / "povm.json", {"effects": [o["effect"] for o in result["outcomes"]]})
+        assert main(["simulate", "--problem", problem, "--povm", povm, "--n-trials", "60"]) == 2
+        assert capsys.readouterr().err.startswith("error: matrix is not Hermitian")
+
     def test_round_trip_scoring(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         v = rng.normal(size=3)
@@ -357,6 +454,12 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "9/9 checks passed" in out
 
+    def test_negative_seed_exit_two_before_any_check(self, capsys):
+        assert main(["selftest", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative, got -1\n"
+
 
 class TestParserReuse:
     def test_calls_in_one_process_match_fresh_calls(self, tmp_path, capsys):
@@ -394,7 +497,7 @@ class TestLinAlgError:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr("mixest.cli.optimal_pvm", no_convergence)
+        monkeypatch.setattr("mixest.highdim.optimal_pvm", no_convergence)
         assert main(["solve", "--problem", orthogonal_pure_problem(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

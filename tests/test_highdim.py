@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,19 +8,23 @@ from mixest.bayes import Prior, q_functional
 from mixest.errors import (
     BasisAlignmentFailed,
     DegenerateProblem,
+    DimensionMismatch,
     NotCommuting,
     SupportTooLarge,
+    WrongDimension,
 )
 from mixest.highdim import (
     ReductionKind,
     aligned_basis,
     embed_and_check,
     pinch_to_basis,
+    solve,
     solve_commuting,
     solve_pure_plus_noise,
     solve_two_dim_support,
     support_rank,
 )
+from mixest.policy import DEFAULT_POLICY
 from mixest.qubit import optimal_pvm
 from mixest.randutil import (
     haar_vector,
@@ -53,6 +58,68 @@ def same_effect_sets(povm_a, povm_b, tol=1e-9):
     return len(used) == len(povm_b.effects)
 
 
+# Closed-form scores in reduced coordinates, independent of q_functional.
+
+
+def commuting_q(prior, rho1, rho2):
+    """Score of the common-eigenbasis PVM from the two eigenvalue lists."""
+    basis = common_eigenbasis(rho1, rho2)
+    t = np.real(np.diag(basis.conj().T @ rho1.matrix @ basis))
+    s = np.real(np.diag(basis.conj().T @ rho2.matrix @ basis))
+    w = prior.second_moment / prior.mean
+    q = 0.0
+    for ti, si in zip(t, s):
+        tb = prior.mean * ti + (1.0 - prior.mean) * si
+        if tb < 1e-14:
+            continue
+        ta = w * ti + (1.0 - w) * si
+        q += (prior.mean * ta) ** 2 / tb
+    return q
+
+
+def two_outcome_planar_q(prior, d):
+    """Planar-coordinate score of {P, I - P} for pure-plus-noise inputs.
+
+    In the aligned coordinates the pure state sits at 1 and the noise at
+    the origin; the projector carries weight 1/d at radius d - 1, the
+    complement weight (d-1)/d at radius -1.
+    """
+    m1 = prior.mean
+    w = prior.second_moment / prior.mean
+    x_a, x_b = w, m1
+    dr = x_a - x_b
+    term1 = (1.0 / d) * ((d - 1) * dr) ** 2 / (1.0 + (d - 1) * x_b)
+    term2 = ((d - 1) / d) * dr**2 / (1.0 - x_b)
+    return m1**2 * (1.0 + term1 + term2)
+
+
+def embedded_planar_q(prior, rho1, rho2, first):
+    """Planar score of {first, I - first} in the coordinates of the aligned plane.
+
+    ``first = (I + sqrt(d^2 - d) (v_1 G_1 + v_2 G_2)) / d``; the effect
+    carries weight 1/d at radius (d - 1) v, its complement (d - 1)/d at -v.
+    """
+    d = rho1.dim
+    g1, g2 = aligned_basis(rho1, rho2).generators[:2]
+    scale = d / math.sqrt(d * d - d)
+
+    def coords(m):
+        return scale * np.array([np.trace(g.conj().T @ m).real for g in (g1, g2)])
+
+    r1, r2, v = coords(rho1.matrix), coords(rho2.matrix), coords(first)
+    w = prior.second_moment / prior.mean
+    r_a = w * r1 + (1.0 - w) * r2
+    r_b = prior.mean * r1 + (1.0 - prior.mean) * r2
+    dr = r_a - r_b
+    total = 0.0
+    for p, r in ((1.0 / d, (d - 1.0) * v), ((d - 1.0) / d, -v)):
+        den = 1.0 + float(r @ r_b)
+        if den < 1e-14:
+            continue
+        total += p * float(r @ dr) ** 2 / den
+    return prior.mean**2 * (1.0 + total)
+
+
 class TestSolveCommuting:
     def test_qubit_example(self):
         rho1 = validate_state(np.diag([1.0, 0.0]))
@@ -61,12 +128,12 @@ class TestSolveCommuting:
         assert out.kind is ReductionKind.COMMUTING
         assert out.report.score.q_value == pytest.approx(7 / 27, abs=1e-12)
         assert out.report.score.mean_variance == pytest.approx(2 / 27, abs=1e-12)
-        assert out.reduced_q == pytest.approx(out.report.score.q_value, abs=1e-10)
+        assert commuting_q(UNIFORM, rho1, rho2) == pytest.approx(out.report.score.q_value, abs=1e-10)
 
     def test_identical_states_flagged(self):
         rho = validate_state(np.diag([0.6, 0.4]))
         out = solve_commuting(UNIFORM, rho, rho)
-        assert out.degenerate
+        assert out.report.degenerate
         assert out.report.score.q_value == pytest.approx(0.25, abs=1e-12)
 
     def test_qutrit_dominance(self, rng):
@@ -130,7 +197,8 @@ class TestTwoDimSupport:
         assert out.kind is ReductionKind.TWO_DIM_SUBSPACE
         assert out.report.score.mean_variance == pytest.approx(1 / 18, abs=1e-10)
         assert len(out.report.povm) == 3
-        assert out.reduced_q == pytest.approx(out.report.score.q_value, abs=1e-10)
+        qubit = optimal_pvm(UNIFORM, validate_state(np.diag([1.0, 0.0])), validate_state(np.diag([0.0, 1.0])))
+        assert qubit.score.q_value == pytest.approx(out.report.score.q_value, abs=1e-10)
         probs = [o.prob for o in out.report.score.per_outcome]
         assert min(probs) == pytest.approx(0.0, abs=1e-12)
 
@@ -157,7 +225,7 @@ class TestTwoDimSupport:
     def test_identical_pure_states_flagged(self):
         rho = embed_states([0, 0, 1])
         out = solve_two_dim_support(UNIFORM, rho, rho)
-        assert out.degenerate
+        assert out.report.degenerate
 
     def test_lifted_score_matches_qubit_solution(self, rng):
         # random pair supported on the first two axes of a 4-level system
@@ -188,7 +256,7 @@ class TestPureWithNoise:
         # traces against the effective mixtures by hand:
         # P1: (3/4, 5/8) -> estimate 3/5; complement: (1/4, 3/8) -> 1/3
         assert sorted(out.report.estimates) == pytest.approx([1 / 3, 3 / 5], abs=1e-12)
-        assert out.reduced_q == pytest.approx(out.report.score.q_value, abs=1e-10)
+        assert two_outcome_planar_q(UNIFORM, 4) == pytest.approx(out.report.score.q_value, abs=1e-10)
 
     def test_prior_collapse_limit(self):
         prior = Prior.truncated_reciprocal(1e-3)
@@ -200,7 +268,7 @@ class TestPureWithNoise:
     def test_reciprocal_prior_consistency(self):
         prior = Prior.truncated_reciprocal(math.log(2))
         out = solve_pure_plus_noise(prior, np.array([0.0, 1.0, 0.0]))
-        assert out.reduced_q == pytest.approx(out.report.score.q_value, abs=1e-10)
+        assert two_outcome_planar_q(prior, 3) == pytest.approx(out.report.score.q_value, abs=1e-10)
 
 
 class TestEmbedding:
@@ -210,7 +278,7 @@ class TestEmbedding:
             rho2 = random_density(rng, 2)
             out = embed_and_check(UNIFORM, rho1, rho2)
             direct = optimal_pvm(UNIFORM, rho1, rho2)
-            assert out.positivity_ok
+            assert out.report is not None
             assert out.report.score.q_value == pytest.approx(direct.score.q_value, abs=1e-10)
             assert same_effect_sets(out.report.povm, direct.povm, tol=1e-7)
 
@@ -222,9 +290,12 @@ class TestEmbedding:
         out = embed_and_check(UNIFORM, rho1, rho2)
         reference = solve_pure_plus_noise(UNIFORM, psi)
         assert out.kind is ReductionKind.EMBEDDED
-        assert out.positivity_ok
+        assert out.report is not None
         assert same_effect_sets(out.report.povm, reference.report.povm, tol=1e-8)
-        assert out.reduced_q == pytest.approx(out.report.score.q_value, abs=1e-10)
+        first = out.report.povm.effects[0].matrix
+        assert embedded_planar_q(UNIFORM, rho1, rho2, first) == pytest.approx(
+            out.report.score.q_value, abs=1e-10
+        )
 
     def test_mirrored_pure_with_noise(self, rng):
         # noise first, pure state second: the opposite-sign candidate wins
@@ -232,7 +303,7 @@ class TestEmbedding:
         rho1 = validate_state(np.eye(3) / 3)
         rho2 = embed_states(psi)
         out = embed_and_check(UNIFORM, rho1, rho2)
-        assert out.positivity_ok
+        assert out.report is not None
         projector = np.outer(psi, psi.conj())
         assert any(
             np.max(np.abs(e.matrix - projector)) < 1e-8 for e in out.report.povm
@@ -246,7 +317,6 @@ class TestEmbedding:
             out = embed_and_check(UNIFORM, rho1, rho2)
             if out.kind is ReductionKind.UNREDUCED:
                 found += 1
-                assert not out.positivity_ok
                 assert out.min_eigenvalue < -1e-10
                 assert out.report is None
                 assert len(out.candidate_effects) == 2
@@ -257,7 +327,7 @@ class TestEmbedding:
         rho1 = embed_states(psi)
         rho2 = validate_state(np.eye(3) / 3)
         out = embed_and_check(UNIFORM, rho1, rho2)
-        assert out.positivity_ok
+        assert out.report is not None
         best = out.report.score.q_value
         for _ in range(300):
             povm = random_povm(rng, 3, 4)
@@ -309,7 +379,11 @@ class TestPlaneWithoutFullBasis:
         else:
             assert plane.report.alpha0 == full.report.alpha0
             assert plane.report.score.q_value == full.report.score.q_value
-            pairs = zip(plane.lifted_povm.matrices(), full.lifted_povm.matrices(), strict=True)
+            first = plane.report.povm.effects[0].matrix
+            assert embedded_planar_q(prior, rho1, rho2, first) == pytest.approx(
+                plane.report.score.q_value, abs=1e-10
+            )
+            pairs = zip(plane.report.povm.matrices(), full.report.povm.matrices(), strict=True)
         for a, b in pairs:
             assert np.array_equal(a, b)
         return plane
@@ -332,3 +406,112 @@ class TestPlaneWithoutFullBasis:
         # rho1 - I/d vanishes, so G_2 cannot come from Gram-Schmidt on it
         assert np.max(np.abs(noise.matrix - np.eye(dim) / dim)) == 0.0
         assert self.assert_bit_identical(noise, pure).kind is ReductionKind.EMBEDDED
+
+
+def _rank2_support_pair(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))
+    return tuple(validate_state(q @ random_density(rng, 2).matrix @ q.conj().T) for _ in range(2))
+
+
+# family -> (pair maker, the route function solve must agree with)
+FAMILIES = {
+    "commuting": (random_commuting_pair, solve_commuting),
+    "pure_with_noise": (
+        _pure_noise_pair,
+        lambda prior, rho1, rho2: solve_pure_plus_noise(prior, np.linalg.eigh(rho1.matrix)[1][:, -1], rho1.dim),
+    ),
+    "rank2_support": (_rank2_support_pair, solve_two_dim_support),
+    "generic": (
+        lambda rng, dim: (random_density(rng, dim), random_density(rng, dim)),
+        lambda prior, rho1, rho2: embed_and_check(prior, rho1, rho2),
+    ),
+}
+EXPECTED_KINDS = {
+    "commuting": (ReductionKind.COMMUTING,),
+    "pure_with_noise": (ReductionKind.PURE_WITH_NOISE,),
+    "rank2_support": (ReductionKind.TWO_DIM_SUBSPACE,),
+    "generic": (ReductionKind.EMBEDDED, ReductionKind.UNREDUCED),
+}
+PRIORS = {
+    "uniform": UNIFORM,
+    "trunc_reciprocal": Prior.truncated_reciprocal(math.log(2)),
+    "table": Prior.from_table(np.linspace(0.0, 1.0, 9), [0.2, 1.5, 0.7, 1.9, 0.4, 1.1, 0.3, 1.6, 0.9]),
+}
+
+
+def assert_same_outcome(got, want):
+    assert got.kind is want.kind
+    assert got.reduced_q == want.reduced_q
+    if want.report is None:
+        assert got.report is None
+        pairs = zip(got.candidate_effects, want.candidate_effects, strict=True)
+    else:
+        assert got.report.score.q_value == want.report.score.q_value
+        pairs = zip(got.report.povm.matrices(), want.report.povm.matrices(), strict=True)
+    for a, b in pairs:
+        assert np.array_equal(a, b)
+
+
+class TestSolveEntryPoint:
+    @pytest.mark.parametrize("prior", PRIORS)
+    def test_qubits_take_the_closed_form(self, prior, rng):
+        for _ in range(5):
+            rho1, rho2 = random_density(rng, 2), random_density(rng, 2)
+            out = solve(PRIORS[prior], rho1, rho2)
+            direct = optimal_pvm(PRIORS[prior], rho1, rho2)
+            assert out.kind is ReductionKind.QUBIT
+            assert out.report is not None
+            assert out.report.score.q_value == direct.score.q_value
+            for a, b in zip(out.report.povm.matrices(), direct.povm.matrices(), strict=True):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("prior", PRIORS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_matches_the_route_function(self, dim, family, prior, rng):
+        make_pair, route = FAMILIES[family]
+        for _ in range(3):
+            rho1, rho2 = make_pair(rng, dim)
+            out = solve(PRIORS[prior], rho1, rho2)
+            assert out.kind in EXPECTED_KINDS[family]
+            assert_same_outcome(out, route(PRIORS[prior], rho1, rho2))
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_pure_with_noise_comes_before_commuting(self, dim, rng):
+        rho1, rho2 = _pure_noise_pair(rng, dim)
+        assert solve_commuting(UNIFORM, rho1, rho2).kind is ReductionKind.COMMUTING
+        assert solve(UNIFORM, rho1, rho2).kind is ReductionKind.PURE_WITH_NOISE
+
+    def test_rejects_one_dimensional_states(self):
+        rho = validate_state(np.eye(1))
+        with pytest.raises(WrongDimension, match="1x1"):
+            solve(UNIFORM, rho, rho)
+
+    def test_rejects_mismatched_dimensions(self, rng):
+        with pytest.raises(DimensionMismatch):
+            solve(UNIFORM, random_density(rng, 2), random_density(rng, 3))
+
+
+class TestRoutePolicy:
+    # degenerate_tol above the uniform prior's variance 1/12
+    STRICT = replace(DEFAULT_POLICY, degenerate_tol=0.1)
+
+    @pytest.mark.parametrize(
+        "route, psi",
+        [
+            (solve_commuting, [1, 0, 0]),
+            (solve_two_dim_support, [1, 0, 0]),
+            (embed_and_check, [0.6, 0.8, 0]),
+        ],
+        ids=["commuting", "two_dim_support", "embedding"],
+    )
+    def test_prior_checked_against_the_given_policy(self, route, psi):
+        rho1 = embed_states(psi)
+        rho2 = embed_states([0, 1, 0])
+        route(UNIFORM, rho1, rho2)
+        with pytest.raises(DegenerateProblem, match="prior has zero variance"):
+            route(UNIFORM, rho1, rho2, policy=self.STRICT)
+
+    def test_pure_plus_noise_agrees(self):
+        with pytest.raises(DegenerateProblem, match="prior has zero variance"):
+            solve_pure_plus_noise(UNIFORM, [1, 0, 0], policy=self.STRICT)
