@@ -38,7 +38,7 @@ from .errors import (
     NonUniformPrior,
     ZeroMeanPrior,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 from .states import DensityMatrix, Effect, Povm, as_povm, validate_states
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -256,10 +256,7 @@ class EstimationReport:
 
 
 def effective_states(
-    prior: Prior,
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    policy: NumericPolicy = DEFAULT_POLICY,
+    prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix
 ) -> tuple[DensityMatrix, DensityMatrix]:
     """The two mixtures (rho_a, rho_b) that summarize the prior.
 
@@ -269,7 +266,7 @@ def effective_states(
         raise DimensionMismatch(f"dims {rho1.dim} vs {rho2.dim}")
     if prior.mean <= 0.0:
         raise ZeroMeanPrior("prior mean must be positive")
-    return validate_states(_mixtures([prior.second_moment / prior.mean, prior.mean], rho1, rho2), policy)
+    return validate_states(_mixtures([prior.second_moment / prior.mean, prior.mean], rho1, rho2))
 
 
 def _traces(effects, states) -> np.ndarray:
@@ -282,9 +279,9 @@ def _traces(effects, states) -> np.ndarray:
     return np.trace(products, axis1=2, axis2=3).real
 
 
-def _moments_against(prior: Prior, ta: float, tb: float, tc: float, policy: NumericPolicy) -> PosteriorMoments:
+def _moments_against(prior: Prior, ta: float, tb: float, tc: float) -> PosteriorMoments:
     """Posterior moments of an outcome from its traces against rho_a, rho_b, rho_c."""
-    if tb < policy.zero_prob:
+    if tb < DEFAULT_POLICY.zero_prob:
         return PosteriorMoments(
             prob=max(tb, 0.0),
             estimate=prior.mean,
@@ -300,10 +297,10 @@ def _moments_against(prior: Prior, ta: float, tb: float, tc: float, policy: Nume
     return PosteriorMoments(tb, estimate, second, max(variance, 0.0))
 
 
-def _scored(effects, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix, policy: NumericPolicy):
+def _scored(effects, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix):
     """Posterior moments of every effect, from one stacked trace computation."""
     ta, tb, tc = _traces(effects, _weighted_states(prior, rho1, rho2)).tolist()
-    return tuple(_moments_against(prior, a, b, c, policy) for a, b, c in zip(ta, tb, tc))
+    return tuple(_moments_against(prior, a, b, c) for a, b, c in zip(ta, tb, tc))
 
 
 def _mixtures(weights, rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
@@ -320,54 +317,38 @@ def _weighted_states(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> 
 
 
 def posterior_moments(
-    effect: Effect,
-    prior: Prior,
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    policy: NumericPolicy = DEFAULT_POLICY,
+    effect: Effect, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix
 ) -> PosteriorMoments:
     """Outcome probability and posterior moments of the mixing parameter.
 
-    An outcome with probability below ``policy.zero_prob`` is flagged
+    An outcome with probability below ``DEFAULT_POLICY.zero_prob`` is flagged
     ``never_occurs`` and keeps the prior moments as its estimate.
     """
     if effect.dim != rho1.dim or rho1.dim != rho2.dim:
         raise DimensionMismatch("effect and states must share one dimension")
     if prior.mean <= 0.0:
         raise ZeroMeanPrior("prior mean must be positive")
-    return _scored([effect.matrix], prior, rho1, rho2, policy)[0]
+    return _scored([effect.matrix], prior, rho1, rho2)[0]
 
 
-def q_functional(
-    povm,
-    prior: Prior,
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> MeasurementScore:
+def q_functional(povm, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> MeasurementScore:
     """Score a POVM; the mean variance is the expected squared error.
 
     Outcomes that never occur contribute zero to the score.  For the
     uniform prior ``q_value + mean_variance = 1/3`` holds identically.
     """
-    povm = as_povm(povm, policy)
+    povm = as_povm(povm)
     if povm.dim != rho1.dim:
         raise DimensionMismatch(f"POVM dim {povm.dim} vs state dim {rho1.dim}")
     if prior.mean <= 0.0:
         raise ZeroMeanPrior("prior mean must be positive")
-    per = _scored(povm.matrices(), prior, rho1, rho2, policy)
+    per = _scored(povm.matrices(), prior, rho1, rho2)
     # (mean * tr[E rho_a])^2 / tr[E rho_b] == prob * estimate^2
     q = sum(o.prob * o.estimate**2 for o in per if not o.never_occurs)
     return MeasurementScore(q_value=q, mean_variance=prior.second_moment - q, per_outcome=per)
 
 
-def q_permutation_form(
-    povm,
-    prior: Prior,
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> float:
+def q_permutation_form(povm, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """Uniform-prior score written symmetrically in the two states.
 
     Expanding the score around the midpoint mixture gives
@@ -379,17 +360,17 @@ def q_permutation_form(
     """
     if prior.kind != UNIFORM:
         raise NonUniformPrior("the permutation-symmetric form is defined for the uniform prior")
-    povm = as_povm(povm, policy)
+    povm = as_povm(povm)
     tot, diff = _traces(povm.matrices(), (rho1.matrix + rho2.matrix, rho1.matrix - rho2.matrix)).tolist()
     acc = 0.0
     for den, num in zip(tot, diff):
-        if den < 2.0 * policy.zero_prob:
+        if den < 2.0 * DEFAULT_POLICY.zero_prob:
             continue
         acc += num * num / (18.0 * den)
     return 0.25 * (1.0 + acc)
 
 
-def reject_degenerate_prior(prior: Prior, policy: NumericPolicy = DEFAULT_POLICY) -> None:
+def reject_degenerate_prior(prior: Prior) -> None:
     """Optimizers refuse priors with (numerically) zero variance."""
-    if prior.kind == POINT_MASS or prior.variance <= policy.degenerate_tol:
+    if prior.kind == POINT_MASS or prior.variance <= DEFAULT_POLICY.degenerate_tol:
         raise DegenerateProblem("prior has zero variance; nothing to estimate")

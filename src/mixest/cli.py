@@ -35,7 +35,7 @@ from .errors import EstimationError, ParseError, BadParameter, UnsolvedCase
 from .highdim import solve
 from .qubit import PlanarGeometry, optimal_alpha
 from .randutil import random_povm
-from .simulate import DecoherenceModel, run_simulation, solve_decay_estimation
+from .simulate import DecoherenceModel, SimulationSummary, run_simulation, solve_decay_estimation
 from .states import Povm, validate_povm, validate_state, validate_states
 
 
@@ -149,6 +149,15 @@ def _report_json(kind: str, report: EstimationReport, extra: dict | None = None)
     return out
 
 
+def _summary_csv(summary: SimulationSummary) -> str:
+    """Header and one row: the summary CSV of ``simulate`` and ``decoherence --out``."""
+    return (
+        "seed,n_trials,empirical_mse,analytic_mean_variance,std_error\n"
+        f"{summary.seed},{summary.n_trials},{_fmt(summary.empirical_mse)},"
+        f"{_fmt(summary.analytic_mean_variance)},{_fmt(summary.std_error)}\n"
+    )
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -188,7 +197,6 @@ def cmd_solve(args) -> int:
         result["explore_count"] = explore
     _write_text(args.out, json.dumps(result, indent=2) + "\n")
     if outcome.report is None:
-        print(f"unsolved case: {outcome.certificate}", file=sys.stderr)
         raise UnsolvedCase(outcome.certificate)
     return 0
 
@@ -196,21 +204,16 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     rho1, rho2, prior, _ = load_problem(args.problem, _prior_from_arg(args.prior))
     if args.povm == "optimal":
-        report = solve(prior, rho1, rho2).report
-        if report is None:
-            raise UnsolvedCase("no valid measurement to simulate")
-        povm = report.povm
+        outcome = solve(prior, rho1, rho2)
+        if outcome.report is None:
+            raise UnsolvedCase(outcome.certificate)
+        povm = outcome.report.povm
     else:
         povm = load_povm(args.povm)
     want_records = args.trials_out is not None
     result = run_simulation(povm, prior, rho1, rho2, args.n_trials, args.seed, return_records=want_records)
     summary, records = result if want_records else (result, [])
-    header = "seed,n_trials,empirical_mse,analytic_mean_variance,std_error\n"
-    row = (
-        f"{summary.seed},{summary.n_trials},{_fmt(summary.empirical_mse)},"
-        f"{_fmt(summary.analytic_mean_variance)},{_fmt(summary.std_error)}\n"
-    )
-    _write_text(args.out, header + row)
+    _write_text(args.out, _summary_csv(summary))
     if args.trials_out is not None:
         lines = ["trial,true_lambda,outcome_index,estimate,squared_error"]
         lines += [
@@ -278,12 +281,7 @@ def cmd_decoherence(args) -> int:
     )
     _write_text(None, json.dumps(result, indent=2) + "\n")
     if args.out is not None:
-        header = "seed,n_trials,empirical_mse,analytic_mean_variance,std_error\n"
-        row = (
-            f"{summary.seed},{summary.n_trials},{_fmt(summary.empirical_mse)},"
-            f"{_fmt(summary.analytic_mean_variance)},{_fmt(summary.std_error)}\n"
-        )
-        _write_text(args.out, header + row)
+        _write_text(args.out, _summary_csv(summary))
     return 0
 
 
@@ -355,7 +353,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnsolvedCase:
+    except UnsolvedCase as exc:
+        print(f"unsolved case: {exc}", file=sys.stderr)
         return 3
     except (EstimationError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

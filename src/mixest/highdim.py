@@ -40,7 +40,7 @@ from .errors import (
     WrongDimension,
     WrongShape,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY, SUBSPACE_POLICY
 from .qubit import optimal_alpha, optimal_pvm, planar_geometry_from_coords
 from .states import (
     DensityMatrix,
@@ -126,30 +126,25 @@ def _pure_state_against_noise(rho1: DensityMatrix, rho2: DensityMatrix) -> np.nd
     return vecs[:, -1]
 
 
-def _check_problem(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix, policy: NumericPolicy) -> None:
+def _check_problem(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> None:
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} vs {rho2.dim}")
-    reject_degenerate_prior(prior, policy)
+    reject_degenerate_prior(prior)
 
 
-def solve_commuting(
-    prior: Prior,
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> ReductionOutcome:
+def solve_commuting(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> ReductionOutcome:
     """Optimal measurement for commuting states: the common eigenbasis PVM.
 
     The rank-one PVM is the finest measurement commuting with both states;
     merging outcomes with equal eigenvalue pairs would not change the
     score, and refining cannot hurt it.
     """
-    _check_problem(prior, rho1, rho2, policy)
-    basis = common_eigenbasis(rho1, rho2, policy)  # raises NotCommuting
+    _check_problem(prior, rho1, rho2)
+    basis = common_eigenbasis(rho1, rho2)  # raises NotCommuting
     d = rho1.dim
-    povm = validate_povm([np.outer(basis[:, i], basis[:, i].conj()) for i in range(d)], policy)
-    score = q_functional(povm, prior, rho1, rho2, policy)
-    degenerate = float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= policy.degenerate_tol
+    povm = validate_povm([np.outer(basis[:, i], basis[:, i].conj()) for i in range(d)])
+    score = q_functional(povm, prior, rho1, rho2)
+    degenerate = float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= DEFAULT_POLICY.degenerate_tol
     report = EstimationReport(povm=povm, score=score, prior=prior, degenerate=degenerate)
     return ReductionOutcome(
         kind=ReductionKind.COMMUTING,
@@ -158,55 +153,41 @@ def solve_commuting(
     )
 
 
-def support_rank(
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> int:
+def support_rank(rho1: DensityMatrix, rho2: DensityMatrix) -> int:
     """Rank of the joint support of the two states."""
     evals = np.linalg.eigvalsh((rho1.matrix + rho2.matrix) / 2.0)
-    return int(np.sum(evals > policy.support_tol))
+    return int(np.sum(evals > DEFAULT_POLICY.support_tol))
 
 
-def joint_support(
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> np.ndarray:
+def joint_support(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
     """Orthonormal columns spanning the joint support, or SupportTooLarge."""
     total = (rho1.matrix + rho2.matrix) / 2.0
     evals, vecs = np.linalg.eigh(total)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     vecs = vecs[:, order]
-    rank = int(np.sum(evals > policy.support_tol))
+    rank = int(np.sum(evals > DEFAULT_POLICY.support_tol))
     if rank > 2:
         raise SupportTooLarge(rank, float(evals[2]))
     return vecs[:, :2]
 
 
-def solve_two_dim_support(
-    prior: Prior,
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> ReductionOutcome:
+def solve_two_dim_support(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> ReductionOutcome:
     """Solve states sharing a two-dimensional support via the qubit case.
 
     The qubit projectors are lifted back with the isometry onto the
     support; the complement of the subspace is appended as a third,
-    zero-information outcome.  Positivity is automatic.
+    zero-information outcome.  Positivity is automatic.  The compressed
+    2x2 states are validated at :data:`~mixest.policy.SUBSPACE_POLICY`.
     """
-    _check_problem(prior, rho1, rho2, policy)
+    _check_problem(prior, rho1, rho2)
     d = rho1.dim
-    v = joint_support(rho1, rho2, policy)
-    sub1, sub2 = validate_states(
-        [v.conj().T @ rho1.matrix @ v, v.conj().T @ rho2.matrix @ v], _loosened(policy)
-    )
+    v = joint_support(rho1, rho2)
+    sub1, sub2 = validate_states([v.conj().T @ rho1.matrix @ v, v.conj().T @ rho2.matrix @ v], SUBSPACE_POLICY)
 
     degenerate = False
     try:
-        sub_report = optimal_pvm(prior, sub1, sub2, policy)
+        sub_report = optimal_pvm(prior, sub1, sub2)
         sub_effects = sub_report.povm.matrices()
         alpha0 = sub_report.alpha0
     except DegenerateProblem:
@@ -216,10 +197,10 @@ def solve_two_dim_support(
 
     lifted = [v @ e @ v.conj().T for e in sub_effects]
     complement = np.eye(d, dtype=complex) - v @ v.conj().T
-    if float(np.trace(complement).real) > policy.support_tol:
+    if float(np.trace(complement).real) > DEFAULT_POLICY.support_tol:
         lifted.append(complement)
-    povm = validate_povm(lifted, policy)
-    score = q_functional(povm, prior, rho1, rho2, policy)
+    povm = validate_povm(lifted)
+    score = q_functional(povm, prior, rho1, rho2)
     report = EstimationReport(povm=povm, score=score, prior=prior, alpha0=alpha0, degenerate=degenerate)
     return ReductionOutcome(
         kind=ReductionKind.TWO_DIM_SUBSPACE,
@@ -228,19 +209,7 @@ def solve_two_dim_support(
     )
 
 
-def _loosened(policy: NumericPolicy) -> NumericPolicy:
-    """Subspace compression loses a few digits; relax validation slightly."""
-    from dataclasses import replace
-
-    return replace(policy, herm_tol=1e-9, trace_tol=1e-8, psd_tol=1e-9)
-
-
-def solve_pure_plus_noise(
-    prior: Prior,
-    psi: np.ndarray,
-    dim: int | None = None,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> ReductionOutcome:
+def solve_pure_plus_noise(prior: Prior, psi: np.ndarray, dim: int | None = None) -> ReductionOutcome:
     """Optimal measurement for a pure state mixed with white noise.
 
     The answer is the two-outcome subspace test {P, I - P} with P the
@@ -256,12 +225,12 @@ def solve_pure_plus_noise(
     if norm <= 0:
         raise WrongShape("state vector must be nonzero")
     psi = psi / norm
-    reject_degenerate_prior(prior, policy)
+    reject_degenerate_prior(prior)
 
     projector = np.outer(psi, psi.conj())
-    rho1, rho2 = validate_states([projector, np.eye(d, dtype=complex) / d], policy)
-    povm = validate_povm([projector, np.eye(d, dtype=complex) - projector], policy)
-    score = q_functional(povm, prior, rho1, rho2, policy)
+    rho1, rho2 = validate_states([projector, np.eye(d, dtype=complex) / d])
+    povm = validate_povm([projector, np.eye(d, dtype=complex) - projector])
+    score = q_functional(povm, prior, rho1, rho2)
     report = EstimationReport(povm=povm, score=score, prior=prior, alpha0=0.0)
     return ReductionOutcome(
         kind=ReductionKind.PURE_WITH_NOISE,
@@ -270,11 +239,7 @@ def solve_pure_plus_noise(
     )
 
 
-def aligned_basis(
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> OperatorBasis:
+def aligned_basis(rho1: DensityMatrix, rho2: DensityMatrix) -> OperatorBasis:
     """Operator basis whose first two generators span the states' traceless parts.
 
     The first two generators are the plane of :func:`_aligned_plane`; the
@@ -282,13 +247,11 @@ def aligned_basis(
     needs only the plane and does not build this basis.
     """
     d = rho1.dim
-    generators = _gell_mann_completion(list(_aligned_plane(rho1, rho2, policy)), d * d - 1, policy)
-    return make_operator_basis(d, generators, policy)
+    generators = _gell_mann_completion(list(_aligned_plane(rho1, rho2)), d * d - 1)
+    return make_operator_basis(d, generators)
 
 
-def _aligned_plane(
-    rho1: DensityMatrix, rho2: DensityMatrix, policy: NumericPolicy
-) -> tuple[np.ndarray, np.ndarray]:
+def _aligned_plane(rho1: DensityMatrix, rho2: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal generators (G_1, G_2) of the plane holding both states.
 
     G_1 points along rho1 - rho2; G_2 completes the plane by Gram-Schmidt
@@ -300,7 +263,7 @@ def _aligned_plane(
         raise DimensionMismatch(f"dims {d} vs {rho2.dim}")
     diff = rho1.matrix - rho2.matrix
     dn = _hs_norm(diff)
-    if dn <= policy.degenerate_tol:
+    if dn <= DEFAULT_POLICY.degenerate_tol:
         raise DegenerateProblem("rho1 = rho2: no alignment direction")
     g1 = diff / dn
 
@@ -309,13 +272,13 @@ def _aligned_plane(
     rn = _hs_norm(resid)
     if rn > 1e-9:
         return g1, resid / rn
-    return tuple(_gell_mann_completion([g1], 2, policy))
+    return tuple(_gell_mann_completion([g1], 2))
 
 
-def _gell_mann_completion(generators: list, count: int, policy: NumericPolicy) -> list:
+def _gell_mann_completion(generators: list, count: int) -> list:
     """Extend orthonormal generators to ``count`` by Gram-Schmidt on the Gell-Mann family."""
     d = generators[0].shape[0]
-    for gm in gell_mann_basis(d, policy).generators:
+    for gm in gell_mann_basis(d).generators:
         if len(generators) == count:
             break
         cand = gm.astype(complex)
@@ -341,7 +304,6 @@ def embed_and_check(
     rho1: DensityMatrix,
     rho2: DensityMatrix,
     basis: OperatorBasis | None = None,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> ReductionOutcome:
     """Two-generator embedding with a positivity check on the rebuilt effects.
 
@@ -349,19 +311,20 @@ def embed_and_check(
     finds the optimal direction; the candidate effect is the trace-one
     reconstruction along that direction, completed by its complement.
     Both signs of the direction are tried.  If neither candidate pair is
-    positive the problem stays unreduced and no optimality is claimed.
+    positive the problem stays unreduced and no optimality is claimed.  A
+    positive pair is validated at :data:`~mixest.policy.SUBSPACE_POLICY`.
 
     Only the plane (G_1, G_2) enters, so without an explicit ``basis`` the
     full :func:`aligned_basis` is never built.  An explicit ``basis`` must
     have the states in the span of its first two generators, or
     :class:`BasisAlignmentFailed` is raised.
     """
-    _check_problem(prior, rho1, rho2, policy)
+    _check_problem(prior, rho1, rho2)
     d = rho1.dim
-    if float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= policy.degenerate_tol:
+    if float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= DEFAULT_POLICY.degenerate_tol:
         raise DegenerateProblem("rho1 = rho2")
     if basis is None:
-        g1, g2 = _aligned_plane(rho1, rho2, policy)
+        g1, g2 = _aligned_plane(rho1, rho2)
     else:
         g1, g2 = basis.generators[0], basis.generators[1]
 
@@ -381,8 +344,8 @@ def embed_and_check(
     w = prior.second_moment / prior.mean
     r_a = w * r1 + (1.0 - w) * r2
     r_b = prior.mean * r1 + (1.0 - prior.mean) * r2
-    geom = planar_geometry_from_coords(r_a, r_b, scale=prior.mean**2, policy=policy)
-    sol = optimal_alpha(geom, policy)
+    geom = planar_geometry_from_coords(r_a, r_b, scale=prior.mean**2)
+    sol = optimal_alpha(geom)
     u = geom.direction(sol.alpha)
 
     candidates = []
@@ -395,7 +358,7 @@ def embed_and_check(
         )
         candidates.append((first, second, min_eig))
 
-    feasible = [c for c in candidates if c[2] >= -policy.psd_tol]
+    feasible = [c for c in candidates if c[2] >= -DEFAULT_POLICY.psd_tol]
     if not feasible:
         first, second, min_eig = candidates[0]
         return ReductionOutcome(
@@ -411,8 +374,8 @@ def embed_and_check(
 
     best = None
     for first, second, min_eig in feasible:
-        povm = validate_povm([first, second], _loosened(policy))
-        score = q_functional(povm, prior, rho1, rho2, policy)
+        povm = validate_povm([first, second], SUBSPACE_POLICY)
+        score = q_functional(povm, prior, rho1, rho2)
         if best is None or score.q_value > best[1].q_value:
             best = (povm, score, min_eig)
     povm, score, min_eig = best
@@ -425,10 +388,10 @@ def embed_and_check(
     )
 
 
-def pinch_to_basis(povm: Povm, basis: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> Povm:
+def pinch_to_basis(povm: Povm, basis: np.ndarray) -> Povm:
     """Replace every effect by its diagonal part in the given basis."""
     effects = []
     for e in povm:
         diag = np.real(np.diag(basis.conj().T @ e.matrix @ basis))
         effects.append(basis @ np.diag(diag.astype(complex)) @ basis.conj().T)
-    return validate_povm(effects, policy)
+    return validate_povm(effects)

@@ -2,13 +2,16 @@
 
 All validation and solver tolerances live in a single immutable record so
 that every module interprets "equal", "positive" and "zero probability"
-the same way.  Functions accept a policy argument and default to
-:data:`DEFAULT_POLICY`.
+the same way.  The library reads :data:`DEFAULT_POLICY`; only
+:func:`~mixest.states.validate_states` and
+:func:`~mixest.states.validate_povm` take a record, and the library passes
+them :data:`SUBSPACE_POLICY` where a matrix was rebuilt from a compressed
+or embedded form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -31,3 +34,9 @@ class NumericPolicy:
 
 
 DEFAULT_POLICY = NumericPolicy()
+
+# Compressing two states onto their joint support, or rebuilding effects
+# from embedded plane coordinates, loses a few digits; the matrices built
+# that way are validated with these looser Hermiticity, trace and
+# positivity bounds.
+SUBSPACE_POLICY = replace(DEFAULT_POLICY, herm_tol=1e-9, trace_tol=1e-8, psd_tol=1e-9)

@@ -28,7 +28,7 @@ from .errors import (
     SingularDenominator,
     WrongDimension,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 from .states import (
     DensityMatrix,
     Effect,
@@ -124,12 +124,7 @@ class AngleSolution:
     degenerate: bool = False
 
 
-def planar_geometry_from_coords(
-    r_a: np.ndarray,
-    r_b: np.ndarray,
-    scale: float = 0.25,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> PlanarGeometry:
+def planar_geometry_from_coords(r_a: np.ndarray, r_b: np.ndarray, scale: float = 0.25) -> PlanarGeometry:
     """Build the planar geometry from effective-state coordinate vectors.
 
     Works for Bloch 3-vectors and for two-dimensional embedded coordinates.
@@ -142,7 +137,7 @@ def planar_geometry_from_coords(
     diff = r_a - r_b
     delta = float(np.linalg.norm(diff))
     n = len(r_a)
-    if delta <= policy.degenerate_tol:
+    if delta <= DEFAULT_POLICY.degenerate_tol:
         e1 = np.zeros(n)
         e1[0] = 1.0
     else:
@@ -171,21 +166,16 @@ def planar_geometry_from_coords(
     return PlanarGeometry(delta, float(np.linalg.norm(r_b)), gamma, e1, e2, scale)
 
 
-def planar_geometry(
-    rho_a: DensityMatrix,
-    rho_b: DensityMatrix,
-    scale: float = 0.25,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> PlanarGeometry:
+def planar_geometry(rho_a: DensityMatrix, rho_b: DensityMatrix, scale: float = 0.25) -> PlanarGeometry:
     """Planar geometry of a qubit problem from its effective states."""
     if rho_a.dim != 2 or rho_b.dim != 2:
         raise WrongDimension("planar geometry needs qubit states")
     return planar_geometry_from_coords(
-        bloch_decompose(rho_a).as_array(), bloch_decompose(rho_b).as_array(), scale, policy
+        bloch_decompose(rho_a).as_array(), bloch_decompose(rho_b).as_array(), scale
     )
 
 
-def optimal_alpha(geom: PlanarGeometry, policy: NumericPolicy = DEFAULT_POLICY) -> AngleSolution:
+def optimal_alpha(geom: PlanarGeometry) -> AngleSolution:
     """Exact maximizer of the planar score, in (-pi/2, pi/2).
 
     For a unit direction ``u`` the score is the generalized Rayleigh
@@ -200,7 +190,7 @@ def optimal_alpha(geom: PlanarGeometry, policy: NumericPolicy = DEFAULT_POLICY) 
     carries no information; the solution is flagged degenerate with
     alpha = 0.
     """
-    if geom.delta_r <= policy.degenerate_tol:
+    if geom.delta_r <= DEFAULT_POLICY.degenerate_tol:
         return AngleSolution(0.0, geom.scale, degenerate=True)
     r_b2 = geom.r_b_norm**2
     if r_b2 >= 1.0:
@@ -213,51 +203,40 @@ def optimal_alpha(geom: PlanarGeometry, policy: NumericPolicy = DEFAULT_POLICY) 
     return AngleSolution(alpha, q_max)
 
 
-def planar_q(weights, angles, geom: PlanarGeometry, policy: NumericPolicy = DEFAULT_POLICY):
+def planar_q(weights, angles, geom: PlanarGeometry):
     """Score of planar POVMs given as weight and angle arrays.
 
     Outcomes run along the last axis, so one call scores a single
     :class:`PlanarPovm` (``planar.weights, planar.angles``), a batch, or a
     grid of two-outcome PVMs ``{(1/2, a), (1/2, a + pi)}``.  An outcome
     whose probability per unit weight under rho_b, ``1 + r_b cos(a + gamma)``,
-    is at most ``policy.zero_prob`` never occurs and contributes zero.
+    is at most ``DEFAULT_POLICY.zero_prob`` never occurs and contributes zero.
     """
     angles = np.asarray(angles, dtype=float)
     proj = geom.delta_r * np.cos(angles)
     den = 1.0 + geom.r_b_norm * np.cos(angles + geom.gamma)
-    occurs = den > policy.zero_prob
+    occurs = den > DEFAULT_POLICY.zero_prob
     terms = np.where(occurs, weights * proj**2 / np.where(occurs, den, 1.0), 0.0)
     return geom.scale * (1.0 + terms.sum(axis=-1))
 
 
-def planar_to_povm(planar: PlanarPovm, geom: PlanarGeometry, policy: NumericPolicy = DEFAULT_POLICY) -> Povm:
+def planar_to_povm(planar: PlanarPovm, geom: PlanarGeometry) -> Povm:
     """Rebuild full qubit effects from planar weights and angles."""
     if len(geom.e_delta) != 3:
         raise WrongDimension("reconstruction needs a three-dimensional Bloch frame")
-    effects = [bloch_compose(geom.direction(a), p, policy) for p, a in planar.outcomes]
+    effects = [bloch_compose(geom.direction(a), p) for p, a in planar.outcomes]
     return Povm(tuple(effects))
 
 
-def projected_to_povm(
-    projected: tuple[tuple[float, np.ndarray], ...],
-    geom: PlanarGeometry,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> Povm:
+def projected_to_povm(projected: tuple[tuple[float, np.ndarray], ...], geom: PlanarGeometry) -> Povm:
     """Rebuild (possibly non-pure) in-plane effects from a projection."""
     if len(geom.e_delta) != 3:
         raise WrongDimension("reconstruction needs a three-dimensional Bloch frame")
-    effects = [
-        bloch_compose(q[0] * geom.e_delta + q[1] * geom.e_perp, p, policy) for p, q in projected
-    ]
+    effects = [bloch_compose(q[0] * geom.e_delta + q[1] * geom.e_perp, p) for p, q in projected]
     return Povm(tuple(effects))
 
 
-def reduce_to_plane(
-    povm,
-    rho_a: DensityMatrix,
-    rho_b: DensityMatrix,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> PlanarReduction:
+def reduce_to_plane(povm, rho_a: DensityMatrix, rho_b: DensityMatrix) -> PlanarReduction:
     """Project a qubit POVM onto the plane of the effective states.
 
     Projection drops the out-of-plane Bloch components, which the score
@@ -267,10 +246,10 @@ def reduce_to_plane(
     (a degenerate projection splits along the difference axis); splitting
     never lowers the score.
     """
-    povm = as_povm(povm, policy)
+    povm = as_povm(povm)
     if povm.dim != 2:
         raise WrongDimension("plane reduction is defined for qubit POVMs")
-    geom = planar_geometry(rho_a, rho_b, policy=policy)
+    geom = planar_geometry(rho_a, rho_b)
     projected: list[tuple[float, np.ndarray]] = []
     outcomes: list[tuple[float, float]] = []
     for e in povm:
@@ -293,7 +272,7 @@ def reduce_to_plane(
     return PlanarReduction(PlanarPovm(tuple(outcomes)), geom, tuple(projected))
 
 
-def split_effect(effect: Effect, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[Effect, Effect]:
+def split_effect(effect: Effect) -> tuple[Effect, Effect]:
     """Spectral split of a rank-two qubit effect into two pure parts.
 
     Replacing an effect by its split never decreases the measurement
@@ -304,36 +283,31 @@ def split_effect(effect: Effect, policy: NumericPolicy = DEFAULT_POLICY) -> tupl
         raise WrongDimension("effect splitting is defined for qubits")
     p, r = effect_bloch(effect)
     rn = float(np.linalg.norm(r))
-    if p < 1e-14 or p * (1.0 - rn) <= policy.psd_tol:
+    if p < 1e-14 or p * (1.0 - rn) <= DEFAULT_POLICY.psd_tol:
         raise AlreadyPure("effect has rank below two; nothing to split")
     axis = r / rn if rn > 1e-14 else np.array([0.0, 0.0, 1.0])
-    first = bloch_compose(axis, p * (1.0 + rn) / 2.0, policy)
-    second = bloch_compose(-axis, p * (1.0 - rn) / 2.0, policy)
+    first = bloch_compose(axis, p * (1.0 + rn) / 2.0)
+    second = bloch_compose(-axis, p * (1.0 - rn) / 2.0)
     return first, second
 
 
-def optimal_pvm(
-    prior: Prior,
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> EstimationReport:
+def optimal_pvm(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> EstimationReport:
     """The Bayes-optimal qubit measurement: a two-outcome PVM.
 
     General POVMs cannot beat it; the optimal direction sits at the
     closed-form Rayleigh-quotient angle from the difference of the
     effective states.
     """
-    reject_degenerate_prior(prior, policy)
+    reject_degenerate_prior(prior)
     if rho1.dim != 2 or rho2.dim != 2:
         raise WrongDimension("optimal_pvm solves qubit problems; see the highdim module")
-    if float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= policy.degenerate_tol:
+    if float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= DEFAULT_POLICY.degenerate_tol:
         raise DegenerateProblem("rho1 = rho2: every measurement performs equally")
-    rho_a, rho_b = effective_states(prior, rho1, rho2, policy)
-    geom = planar_geometry(rho_a, rho_b, scale=prior.mean**2, policy=policy)
-    sol = optimal_alpha(geom, policy)
+    rho_a, rho_b = effective_states(prior, rho1, rho2)
+    geom = planar_geometry(rho_a, rho_b, scale=prior.mean**2)
+    sol = optimal_alpha(geom)
     direction = geom.direction(sol.alpha)
-    povm = Povm((bloch_compose(direction, 0.5, policy), bloch_compose(-direction, 0.5, policy)))
-    score = q_functional(povm, prior, rho1, rho2, policy)
+    povm = Povm((bloch_compose(direction, 0.5), bloch_compose(-direction, 0.5)))
+    score = q_functional(povm, prior, rho1, rho2)
     return EstimationReport(povm=povm, score=score, prior=prior, alpha0=sol.alpha, geometry=geom)
 

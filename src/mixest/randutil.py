@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 from .states import DensityMatrix, Povm, validate_povm, validate_state
 
 
@@ -27,12 +27,7 @@ def random_pure(rng: np.random.Generator, dim: int) -> DensityMatrix:
     return validate_state(np.outer(v, v.conj()))
 
 
-def random_povm(
-    rng: np.random.Generator,
-    dim: int,
-    n_effects: int = 4,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> Povm:
+def random_povm(rng: np.random.Generator, dim: int, n_effects: int = 4) -> Povm:
     """Random POVM: Dirichlet-weighted rank-one effects plus a completion.
 
     The rank-one part is a convex combination of projectors, so its
@@ -51,9 +46,9 @@ def random_povm(
             effects.append(e)
             total += e
         rest = np.eye(dim) - total
-        if np.linalg.eigvalsh((rest + rest.conj().T) / 2).min() >= -policy.psd_tol / 10:
+        if np.linalg.eigvalsh((rest + rest.conj().T) / 2).min() >= -DEFAULT_POLICY.psd_tol / 10:
             effects.append(rest)
-            return validate_povm(effects, policy)
+            return validate_povm(effects)
 
 
 def random_commuting_pair(

@@ -27,7 +27,7 @@ import numpy as np
 from .bayes import EstimationReport, Prior, _traces, prior_from_decoherence, q_functional
 from .errors import BadParameter, DegenerateProblem, RateOutOfRange, WrongShape
 from .highdim import ReductionOutcome, solve_pure_plus_noise
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 from .qubit import optimal_pvm
 from .states import DensityMatrix, Povm, as_povm, validate_state, validate_states
 
@@ -192,7 +192,6 @@ def run_simulation(
     n_trials: int,
     seed: int,
     return_records: bool = False,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ):
     """Draw states and outcomes; compare empirical MSE to the analytic value.
 
@@ -201,8 +200,8 @@ def run_simulation(
     squared error.  Returns a :class:`SimulationSummary`, plus the list of
     :class:`TrialRecord` when ``return_records`` is set.
     """
-    povm = as_povm(povm, policy)
-    score = q_functional(povm, prior, rho1, rho2, policy)
+    povm = as_povm(povm)
+    score = q_functional(povm, prior, rho1, rho2)
     lam, outcome = _sample_trials(prior, povm, rho1, rho2, n_trials, seed)
     estimates = np.array([o.estimate for o in score.per_outcome])
     errors = np.empty(n_trials)
@@ -227,13 +226,13 @@ def run_simulation(
     return summary, list(map(TrialRecord, *(c.tolist() for c in columns)))
 
 
-def decoherence_state(model: DecoherenceModel, b: float, policy: NumericPolicy = DEFAULT_POLICY) -> DensityMatrix:
+def decoherence_state(model: DecoherenceModel, b: float) -> DensityMatrix:
     """State after decaying at rate ``b`` for the model's time span."""
     if not (0.0 <= b <= model.b_max):
         raise RateOutOfRange(f"rate {b} outside [0, {model.b_max}]")
     lam = math.exp(-b * model.t)
     m = lam * model.rho0.matrix + (1.0 - lam) * model.equilibrium.matrix
-    return validate_state(m, policy)
+    return validate_state(m)
 
 
 @dataclass(frozen=True)
@@ -251,11 +250,7 @@ class DecayEstimation:
     b_estimates: tuple[float, ...]
 
 
-def solve_decay_estimation(
-    model: DecoherenceModel,
-    uniform_prior: bool = False,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> DecayEstimation:
+def solve_decay_estimation(model: DecoherenceModel, uniform_prior: bool = False) -> DecayEstimation:
     """Optimal single-copy measurement of the decay rate.
 
     A uniformly distributed rate induces a reciprocal prior on the mixing
@@ -263,10 +258,10 @@ def solve_decay_estimation(
     ``uniform_prior=True`` overrides the induced prior with the flat one.
     """
     eq = model.equilibrium
-    if float(np.max(np.abs(model.rho0.matrix - eq.matrix))) <= policy.degenerate_tol:
+    if float(np.max(np.abs(model.rho0.matrix - eq.matrix))) <= DEFAULT_POLICY.degenerate_tol:
         raise DegenerateProblem("initial state equals the equilibrium state; decay is invisible")
     prior = Prior.uniform() if uniform_prior else prior_from_decoherence(model.t_bmax)
-    report = optimal_pvm(prior, model.rho0, eq, policy)
+    report = optimal_pvm(prior, model.rho0, eq)
     lo = math.exp(-model.t_bmax)
     b_estimates = tuple(
         -math.log(min(max(g, lo), 1.0)) / model.t for g in report.estimates
@@ -364,7 +359,6 @@ def entanglement_demo(
     prior: Prior | None = None,
     n_trials: int = 200,
     seed: int = 0,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> EntanglementDemo:
     """Estimate the noise weight of a two-qubit state, then test separability.
 
@@ -376,9 +370,9 @@ def entanglement_demo(
     """
     psi = _two_qubit_vector(psi)
     prior = prior or Prior.uniform()
-    outcome = solve_pure_plus_noise(prior, psi, 4, policy)
+    outcome = solve_pure_plus_noise(prior, psi, 4)
     report = outcome.report
-    rho1, rho2 = validate_states([np.outer(psi, psi.conj()), np.eye(4, dtype=complex) / 4.0], policy)
+    rho1, rho2 = validate_states([np.outer(psi, psi.conj()), np.eye(4, dtype=complex) / 4.0])
     lam, index = _sample_trials(prior, report.povm, rho1, rho2, n_trials, seed)
     est = np.array(report.estimates)[index]
 

@@ -186,7 +186,7 @@ def validate_states(matrices, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[D
     return tuple(map(DensityMatrix, _checked(matrices, policy, effect=False)))
 
 
-def validate_state(m, policy: NumericPolicy = DEFAULT_POLICY) -> DensityMatrix:
+def validate_state(m) -> DensityMatrix:
     """Validate a matrix as a density matrix or raise a named violation.
 
     Raises
@@ -198,12 +198,12 @@ def validate_state(m, policy: NumericPolicy = DEFAULT_POLICY) -> DensityMatrix:
     NotHermitian, NotUnitTrace, NotPSD
         Each carries the offending magnitude.
     """
-    return validate_states([m], policy)[0]
+    return validate_states([m])[0]
 
 
-def validate_effect(m, policy: NumericPolicy = DEFAULT_POLICY) -> Effect:
+def validate_effect(m) -> Effect:
     """Validate a matrix as a POVM effect (Hermitian, PSD, <= identity)."""
-    return Effect(_checked([m], policy, effect=True)[0])
+    return Effect(_checked([m], DEFAULT_POLICY, effect=True)[0])
 
 
 def validate_povm(matrices, policy: NumericPolicy = DEFAULT_POLICY) -> Povm:
@@ -227,11 +227,11 @@ def validate_povm(matrices, policy: NumericPolicy = DEFAULT_POLICY) -> Povm:
     return Povm(effects)
 
 
-def as_povm(povm, policy: NumericPolicy = DEFAULT_POLICY) -> Povm:
+def as_povm(povm) -> Povm:
     """Accept either a Povm or a list of matrices."""
     if isinstance(povm, Povm):
         return povm
-    return validate_povm(povm, policy)
+    return validate_povm(povm)
 
 
 def _pauli_coords(m: np.ndarray) -> tuple[float, float, float]:
@@ -251,7 +251,7 @@ def bloch_decompose(rho: DensityMatrix) -> BlochVector:
     return BlochVector(*_pauli_coords(rho.matrix))
 
 
-def bloch_compose(r, weight: float, policy: NumericPolicy = DEFAULT_POLICY) -> Effect:
+def bloch_compose(r, weight: float) -> Effect:
     """Build the effect ``weight * (I + r . sigma)``.
 
     The result is rank one exactly when ``|r| = 1``; ``weight = 1/2`` with a
@@ -261,7 +261,7 @@ def bloch_compose(r, weight: float, policy: NumericPolicy = DEFAULT_POLICY) -> E
     if vec.shape != (3,):
         raise WrongDimension(f"expected a 3-vector, got shape {vec.shape}")
     norm = float(np.linalg.norm(vec))
-    if norm > 1.0 + policy.bloch_norm_tol:
+    if norm > 1.0 + DEFAULT_POLICY.bloch_norm_tol:
         raise VectorTooLong(norm)
     if weight < 0:
         raise ValueError(f"weight must be nonnegative, got {weight}")
@@ -280,7 +280,7 @@ def effect_bloch(effect: Effect) -> tuple[float, np.ndarray]:
     return p, r
 
 
-def gell_mann_basis(dim: int, policy: NumericPolicy = DEFAULT_POLICY) -> OperatorBasis:
+def gell_mann_basis(dim: int) -> OperatorBasis:
     """Generalized Gell-Mann generators, ordered symmetric / antisymmetric / diagonal.
 
     Normalized so that tr(G_i G_j) = delta_ij; for dim = 2 this is the
@@ -306,10 +306,10 @@ def gell_mann_basis(dim: int, policy: NumericPolicy = DEFAULT_POLICY) -> Operato
         m[np.arange(level), np.arange(level)] = 1.0
         m[level, level] = -float(level)
         mats.append(m / np.sqrt(level * (level + 1)))
-    return make_operator_basis(dim, mats, policy)
+    return make_operator_basis(dim, mats)
 
 
-def make_operator_basis(dim: int, generators, policy: NumericPolicy = DEFAULT_POLICY) -> OperatorBasis:
+def make_operator_basis(dim: int, generators) -> OperatorBasis:
     """Validate orthonormality and tracelessness of a generator list."""
     gens = tuple(_freeze(_as_square_matrix(g)) for g in generators)
     if len(gens) != dim * dim - 1:
@@ -318,12 +318,12 @@ def make_operator_basis(dim: int, generators, policy: NumericPolicy = DEFAULT_PO
         if g.shape != (dim, dim):
             raise DimensionMismatch(f"generator {i} has shape {g.shape}")
     stack = np.array(gens, dtype=complex).reshape(len(gens), dim, dim)
-    bad = np.flatnonzero(np.abs(np.trace(stack, axis1=1, axis2=2)) > policy.basis_tol)
+    bad = np.flatnonzero(np.abs(np.trace(stack, axis1=1, axis2=2)) > DEFAULT_POLICY.basis_tol)
     if bad.size:
         raise InvalidPovm(f"generator {bad[0]} is not traceless")
     flat = stack.reshape(len(gens), dim * dim)
     gram = flat.conj() @ flat.T  # gram[i, j] = tr(G_i^dag G_j)
-    off = np.argwhere(np.triu(np.abs(gram - np.eye(len(gens))) > policy.basis_tol))
+    off = np.argwhere(np.triu(np.abs(gram - np.eye(len(gens))) > DEFAULT_POLICY.basis_tol))
     if off.size:
         i, j = off[0]
         raise InvalidPovm(f"generators {i},{j} are not orthonormal: tr(Gi Gj) = {gram[i, j]:.3e}")
@@ -372,11 +372,7 @@ def commutator_norm(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return float(np.max(np.abs(c)))
 
 
-def common_eigenbasis(
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> np.ndarray:
+def common_eigenbasis(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
     """Orthonormal basis (columns) diagonalizing two commuting states.
 
     Degenerate eigenspaces of ``rho1`` are resolved by diagonalizing
@@ -386,12 +382,12 @@ def common_eigenbasis(
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} vs {rho2.dim}")
     cnorm = commutator_norm(rho1, rho2)
-    if cnorm >= policy.commute_tol:
+    if cnorm >= DEFAULT_POLICY.commute_tol:
         raise NotCommuting(cnorm)
 
     evals, vecs = np.linalg.eigh(rho1.matrix)
     # resolve clusters of equal rho1 eigenvalues using rho2
-    cluster_tol = 10 * policy.diag_tol
+    cluster_tol = 10 * DEFAULT_POLICY.diag_tol
     start = 0
     while start < len(evals):
         stop = start + 1
@@ -408,6 +404,6 @@ def common_eigenbasis(
     for rho in (rho1, rho2):
         diag = vecs.conj().T @ rho.matrix @ vecs
         off = float(np.max(np.abs(diag - np.diag(np.diag(diag)))))
-        if off > policy.diag_tol:
+        if off > DEFAULT_POLICY.diag_tol:
             raise NotCommuting(cnorm)
     return vecs

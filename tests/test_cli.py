@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mixest.bayes import Prior
 from mixest.cli import build_parser, load_problem, main, matrix_from_json, matrix_to_json
 from mixest.highdim import solve
 from mixest.randutil import haar_vector, random_commuting_pair, random_density
@@ -316,6 +317,19 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: states are 1x1 matrices")
+
+    def test_unsolved_problem_exit_three_with_message(self, tmp_path, capsys):
+        rng = np.random.default_rng(42)
+        rho1, rho2 = random_density(rng, 3), random_density(rng, 3)
+        outcome = solve(Prior.uniform(), rho1, rho2)
+        assert outcome.report is None
+        problem = problem_file(tmp_path, rho1.matrix, rho2.matrix)
+        assert main(["simulate", "--problem", problem, "--povm", "optimal", "--n-trials", "10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"unsolved case: {outcome.certificate}\n"
+        assert main(["solve", "--problem", problem]) == 3
+        assert capsys.readouterr().err == captured.err
 
     @pytest.mark.parametrize("n_trials", [60, 300])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])

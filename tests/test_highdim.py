@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from mixest.highdim import (
     solve_two_dim_support,
     support_rank,
 )
-from mixest.policy import DEFAULT_POLICY
 from mixest.qubit import optimal_pvm
 from mixest.randutil import (
     haar_vector,
@@ -492,26 +490,14 @@ class TestSolveEntryPoint:
             solve(UNIFORM, random_density(rng, 2), random_density(rng, 3))
 
 
-class TestRoutePolicy:
-    # degenerate_tol above the uniform prior's variance 1/12
-    STRICT = replace(DEFAULT_POLICY, degenerate_tol=0.1)
-
-    @pytest.mark.parametrize(
-        "route, psi",
-        [
-            (solve_commuting, [1, 0, 0]),
-            (solve_two_dim_support, [1, 0, 0]),
-            (embed_and_check, [0.6, 0.8, 0]),
-        ],
-        ids=["commuting", "two_dim_support", "embedding"],
-    )
-    def test_prior_checked_against_the_given_policy(self, route, psi):
-        rho1 = embed_states(psi)
-        rho2 = embed_states([0, 1, 0])
-        route(UNIFORM, rho1, rho2)
-        with pytest.raises(DegenerateProblem, match="prior has zero variance"):
-            route(UNIFORM, rho1, rho2, policy=self.STRICT)
-
-    def test_pure_plus_noise_agrees(self):
-        with pytest.raises(DegenerateProblem, match="prior has zero variance"):
-            solve_pure_plus_noise(UNIFORM, [1, 0, 0], policy=self.STRICT)
+class TestPointMassPrior:
+    # a point-mass prior leaves nothing to estimate: every route refuses it,
+    # and so does solve on a problem that it sends to that route
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_route_and_solve_reject_it(self, family):
+        make_pair, route = FAMILIES[family]
+        rho1, rho2 = make_pair(np.random.default_rng(3), 3)
+        assert solve(UNIFORM, rho1, rho2).kind in EXPECTED_KINDS[family]
+        for f in (route, solve):
+            with pytest.raises(DegenerateProblem, match="prior has zero variance"):
+                f(Prior.point_mass(0.5), rho1, rho2)

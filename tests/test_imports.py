@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +27,24 @@ def test_import_does_not_load_numpy_random():
         env=env,
         check=True,
     )
+
+
+def test_only_the_validators_take_a_policy():
+    # the library reads its tolerances from DEFAULT_POLICY; a per-call
+    # tolerance record stays on the two validators that need a second one
+    import mixest
+
+    modules = [mixest] + [importlib.import_module(f"mixest.{m.name}") for m in pkgutil.iter_modules(mixest.__path__)]
+    takes = set()
+    for module in modules:
+        for name, obj in vars(module).items():
+            public = not name.startswith("_") and getattr(obj, "__module__", "").startswith("mixest")
+            if not (public and (inspect.isfunction(obj) or inspect.isclass(obj))):
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):  # classes without an introspectable constructor
+                continue
+            if "policy" in params:
+                takes.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert takes == {"mixest.states.validate_states", "mixest.states.validate_povm"}
