@@ -39,7 +39,7 @@ from .errors import (
     ZeroMeanPrior,
 )
 from .policy import DEFAULT_POLICY
-from .states import DensityMatrix, Effect, Povm, as_povm, validate_states
+from .states import DensityMatrix, Effect, Povm, _trusted_states, as_povm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .qubit import PlanarGeometry
@@ -261,12 +261,20 @@ def effective_states(
     """The two mixtures (rho_a, rho_b) that summarize the prior.
 
     For the uniform prior the weights are (2/3, 1/3) and (1/2, 1/2).
+
+    The mixtures are not validated again, because the check cannot fail.
+    For a prior on [0, 1] the weights ``E[lam^2]/E[lam]`` and ``E[lam]``
+    lie in [0, 1] (``lam^2 <= lam``), up to rounding.  A convex mixture is
+    then no further off Hermitian or off unit trace than the worse of
+    rho1 and rho2, and by Weyl's inequality its smallest eigenvalue is at
+    least the smaller of theirs.  Rounding adds a few ulps, which matters
+    only for inputs within ulps of a tolerance edge.
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} vs {rho2.dim}")
     if prior.mean <= 0.0:
         raise ZeroMeanPrior("prior mean must be positive")
-    return validate_states(_mixtures([prior.second_moment / prior.mean, prior.mean], rho1, rho2))
+    return _trusted_states(_mixtures([prior.second_moment / prior.mean, prior.mean], rho1, rho2))
 
 
 def _traces(effects, states) -> np.ndarray:
@@ -297,10 +305,18 @@ def _moments_against(prior: Prior, ta: float, tb: float, tc: float) -> Posterior
     return PosteriorMoments(tb, estimate, second, max(variance, 0.0))
 
 
-def _scored(effects, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix):
-    """Posterior moments of every effect, from one stacked trace computation."""
-    ta, tb, tc = _traces(effects, _weighted_states(prior, rho1, rho2)).tolist()
+def _scored(effects, prior: Prior, states: np.ndarray) -> tuple[PosteriorMoments, ...]:
+    """Posterior moments of every effect against the stack (rho_a, rho_b, rho_c)."""
+    ta, tb, tc = _traces(effects, states).tolist()
     return tuple(_moments_against(prior, a, b, c) for a, b, c in zip(ta, tb, tc))
+
+
+def _score(effects, prior: Prior, states: np.ndarray) -> MeasurementScore:
+    """Score of the effects against the stack (rho_a, rho_b, rho_c) of :func:`_weighted_states`."""
+    per = _scored(effects, prior, states)
+    # (mean * tr[E rho_a])^2 / tr[E rho_b] == prob * estimate^2
+    q = sum(o.prob * o.estimate**2 for o in per if not o.never_occurs)
+    return MeasurementScore(q_value=q, mean_variance=prior.second_moment - q, per_outcome=per)
 
 
 def _mixtures(weights, rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
@@ -328,7 +344,7 @@ def posterior_moments(
         raise DimensionMismatch("effect and states must share one dimension")
     if prior.mean <= 0.0:
         raise ZeroMeanPrior("prior mean must be positive")
-    return _scored([effect.matrix], prior, rho1, rho2)[0]
+    return _scored([effect.matrix], prior, _weighted_states(prior, rho1, rho2))[0]
 
 
 def q_functional(povm, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> MeasurementScore:
@@ -342,10 +358,7 @@ def q_functional(povm, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -
         raise DimensionMismatch(f"POVM dim {povm.dim} vs state dim {rho1.dim}")
     if prior.mean <= 0.0:
         raise ZeroMeanPrior("prior mean must be positive")
-    per = _scored(povm.matrices(), prior, rho1, rho2)
-    # (mean * tr[E rho_a])^2 / tr[E rho_b] == prob * estimate^2
-    q = sum(o.prob * o.estimate**2 for o in per if not o.never_occurs)
-    return MeasurementScore(q_value=q, mean_variance=prior.second_moment - q, per_outcome=per)
+    return _score(povm.matrices(), prior, _weighted_states(prior, rho1, rho2))
 
 
 def q_permutation_form(povm, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> float:

@@ -46,6 +46,7 @@ from .states import (
     DensityMatrix,
     OperatorBasis,
     Povm,
+    _trusted_states,
     common_eigenbasis,
     commutator_norm,
     gell_mann_basis,
@@ -228,7 +229,7 @@ def solve_pure_plus_noise(prior: Prior, psi: np.ndarray, dim: int | None = None)
     reject_degenerate_prior(prior)
 
     projector = np.outer(psi, psi.conj())
-    rho1, rho2 = validate_states([projector, np.eye(d, dtype=complex) / d])
+    rho1, rho2 = _trusted_states([projector, np.eye(d, dtype=complex) / d])
     povm = validate_povm([projector, np.eye(d, dtype=complex) - projector])
     score = q_functional(povm, prior, rho1, rho2)
     report = EstimationReport(povm=povm, score=score, prior=prior, alpha0=0.0)

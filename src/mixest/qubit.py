@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import EstimationReport, Prior, effective_states, q_functional, reject_degenerate_prior
+from .bayes import EstimationReport, Prior, _score, _weighted_states, reject_degenerate_prior
 from .errors import (
     AlreadyPure,
     DegenerateProblem,
@@ -33,6 +33,8 @@ from .states import (
     DensityMatrix,
     Effect,
     Povm,
+    _compose_stack,
+    _pauli_coords,
     as_povm,
     bloch_compose,
     bloch_decompose,
@@ -296,18 +298,23 @@ def optimal_pvm(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> Estim
 
     General POVMs cannot beat it; the optimal direction sits at the
     closed-form Rayleigh-quotient angle from the difference of the
-    effective states.
+    effective states.  One stack of the prior-weighted mixtures gives the
+    geometry and the score, and both effects are built in one product;
+    the result is bit for bit that of
+    :func:`~mixest.bayes.effective_states`, :func:`planar_geometry`,
+    :func:`optimal_alpha`, :func:`~mixest.states.bloch_compose` of
+    ``+-direction`` at weight 1/2 and :func:`~mixest.bayes.q_functional`.
     """
     reject_degenerate_prior(prior)
     if rho1.dim != 2 or rho2.dim != 2:
         raise WrongDimension("optimal_pvm solves qubit problems; see the highdim module")
     if float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= DEFAULT_POLICY.degenerate_tol:
         raise DegenerateProblem("rho1 = rho2: every measurement performs equally")
-    rho_a, rho_b = effective_states(prior, rho1, rho2)
-    geom = planar_geometry(rho_a, rho_b, scale=prior.mean**2)
+    states = _weighted_states(prior, rho1, rho2)  # rho_a, rho_b, rho_c
+    geom = planar_geometry_from_coords(_pauli_coords(states[0]), _pauli_coords(states[1]), prior.mean**2)
     sol = optimal_alpha(geom)
     direction = geom.direction(sol.alpha)
-    povm = Povm((bloch_compose(direction, 0.5), bloch_compose(-direction, 0.5)))
-    score = q_functional(povm, prior, rho1, rho2)
+    effects = _compose_stack(np.array([direction, -direction]), 0.5)
+    povm = Povm(tuple(map(Effect, effects)))
+    score = _score(effects, prior, states)
     return EstimationReport(povm=povm, score=score, prior=prior, alpha0=sol.alpha, geometry=geom)
-

@@ -29,7 +29,7 @@ from .errors import BadParameter, DegenerateProblem, RateOutOfRange, WrongShape
 from .highdim import ReductionOutcome, solve_pure_plus_noise
 from .policy import DEFAULT_POLICY
 from .qubit import optimal_pvm
-from .states import DensityMatrix, Povm, as_povm, validate_state, validate_states
+from .states import DensityMatrix, Povm, _trusted_states, as_povm, validate_state
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 65536  # trials per vectorised block; bounds the sampler's memory
@@ -372,7 +372,7 @@ def entanglement_demo(
     prior = prior or Prior.uniform()
     outcome = solve_pure_plus_noise(prior, psi, 4)
     report = outcome.report
-    rho1, rho2 = validate_states([np.outer(psi, psi.conj()), np.eye(4, dtype=complex) / 4.0])
+    rho1, rho2 = _trusted_states([np.outer(psi, psi.conj()), np.eye(4, dtype=complex) / 4.0])
     lam, index = _sample_trials(prior, report.povm, rho1, rho2, n_trials, seed)
     est = np.array(report.estimates)[index]
 

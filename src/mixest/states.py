@@ -2,15 +2,18 @@
 
 All types are immutable after construction (the wrapped arrays are made
 read-only), so they are safe to share across threads.  Validation happens
-in the ``validate_*`` constructors; the dataclasses themselves trust their
-inputs.  A list of same-shape matrices is validated as one stack, with one
-``eigvalsh`` call for all of them; the first offending matrix raises the
-error it would raise on its own.  Qubit Bloch coordinates are read from
-the matrix entries, which equals the Pauli traces exactly.
+at the boundary, in the ``validate_*`` constructors; the dataclasses
+themselves trust their inputs, and the library builds them unchecked only
+from matrices that are valid by construction.  A list of same-shape
+matrices is validated as one stack, with one ``eigvalsh`` call for all of
+them; the first offending matrix raises the error it would raise on its
+own.  Qubit Bloch coordinates are read from the matrix entries, which
+equals the Pauli traces exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +107,15 @@ def _checked(matrices, policy: NumericPolicy, effect: bool):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated d x d density matrix (Hermitian, PSD, unit trace)."""
+    """A validated d x d density matrix (Hermitian, PSD, unit trace).
+
+    Build one with :func:`validate_state` or :func:`validate_states`.  The
+    constructor itself checks nothing; the library calls it directly only
+    for matrices that are valid by construction, through
+    :func:`_trusted_states`: the prior-weighted mixtures of two validated
+    states (:func:`~mixest.bayes.effective_states`) and the exact pair
+    ``|psi><psi|``, ``I/d`` of a normalised vector.
+    """
 
     matrix: np.ndarray
 
@@ -186,6 +197,18 @@ def validate_states(matrices, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[D
     return tuple(map(DensityMatrix, _checked(matrices, policy, effect=False)))
 
 
+def _trusted_states(matrices) -> tuple[DensityMatrix, ...]:
+    """Density matrices, unchecked, from a stack that is valid by construction.
+
+    Only for the callers named in :class:`DensityMatrix`: each matrix is a
+    convex mixture of validated states or an exact projector and ``I/d``,
+    so a check could only reject it within rounding of a tolerance edge.
+    """
+    stack = np.array(matrices, dtype=complex)
+    stack.setflags(write=False)
+    return tuple(map(DensityMatrix, stack))
+
+
 def validate_state(m) -> DensityMatrix:
     """Validate a matrix as a density matrix or raise a named violation.
 
@@ -256,17 +279,48 @@ def bloch_compose(r, weight: float) -> Effect:
 
     The result is rank one exactly when ``|r| = 1``; ``weight = 1/2`` with a
     unit vector gives the projector onto the +r eigenstate.
+
+    Raises
+    ------
+    WrongDimension
+        ``r`` is not a 3-vector.
+    BadParameter
+        ``r`` or ``weight`` has a nan or infinite entry, or ``weight < 0``.
+    VectorTooLong
+        ``|r|`` exceeds one by more than ``bloch_norm_tol``.
+    EffectBoundExceeded
+        The largest eigenvalue ``weight * (1 + |r|)`` exceeds one by more
+        than ``effect_bound_tol``.
     """
     vec = r.as_array() if isinstance(r, BlochVector) else np.asarray(r, dtype=float)
     if vec.shape != (3,):
         raise WrongDimension(f"expected a 3-vector, got shape {vec.shape}")
+    weight = float(weight)
+    if not (np.isfinite(vec).all() and math.isfinite(weight)):
+        raise BadParameter(f"Bloch vector and weight must be finite, got {vec.tolist()} and {weight}")
     norm = float(np.linalg.norm(vec))
-    if norm > 1.0 + DEFAULT_POLICY.bloch_norm_tol:
+    if not norm <= 1.0 + DEFAULT_POLICY.bloch_norm_tol:
         raise VectorTooLong(norm)
-    if weight < 0:
-        raise ValueError(f"weight must be nonnegative, got {weight}")
-    m = weight * (np.eye(2, dtype=complex) + vec[0] * PAULI_X + vec[1] * PAULI_Y + vec[2] * PAULI_Z)
-    return Effect(_freeze(m))
+    if not weight >= 0.0:
+        raise BadParameter(f"weight must be nonnegative, got {weight}")
+    top = weight * (1.0 + norm)
+    if not top <= 1.0 + DEFAULT_POLICY.effect_bound_tol:
+        raise EffectBoundExceeded(top)
+    return Effect(_compose_stack(vec[None], weight)[0])
+
+
+def _compose_stack(vecs: np.ndarray, weight: float) -> np.ndarray:
+    """Read-only stack of ``weight * (I + x X + y Y + z Z)``, one per row of ``vecs``.
+
+    One broadcast over the (n, 3) rows, unchecked.  Each matrix gets the
+    same complex-times-real products, summed in the same order, as a
+    single vector would, so the bits (signed zeros included) do not depend
+    on the stack.
+    """
+    x, y, z = (vecs[:, k, None, None] for k in range(3))
+    out = weight * (np.eye(2, dtype=complex) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
+    out.setflags(write=False)
+    return out
 
 
 def effect_bloch(effect: Effect) -> tuple[float, np.ndarray]:

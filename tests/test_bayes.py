@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mixest.bayes import (
@@ -18,10 +20,11 @@ from mixest.errors import (
     DimensionMismatch,
     NonPositiveParameter,
     NonUniformPrior,
+    ValidationError,
 )
 from mixest.policy import DEFAULT_POLICY
 from mixest.randutil import random_density, random_povm
-from mixest.states import validate_effect, validate_povm, validate_state
+from mixest.states import DensityMatrix, validate_effect, validate_povm, validate_state, validate_states
 
 Z0 = validate_state(np.diag([1.0, 0.0]))
 Z1 = validate_state(np.diag([0.0, 1.0]))
@@ -386,3 +389,66 @@ class TestStackedTracesMatchPerEffectFormulas:
                 ref_b = validate_state(prior.mean * rho1.matrix + (1.0 - prior.mean) * rho2.matrix)
                 assert rho_a.matrix.tobytes() == ref_a.matrix.tobytes()
                 assert rho_b.matrix.tobytes() == ref_b.matrix.tobytes()
+
+
+ULPS = 16 * np.finfo(float).eps
+
+
+@st.composite
+def edge_state_pair(draw):
+    """Two d x d matrices pushed toward every tolerance edge of ``validate_state``.
+
+    Eigenvalues down to ``-psd_tol``, trace off one by up to ``trace_tol`` and
+    an anti-Hermitian part up to ``herm_tol`` entrywise, each scaled by a
+    drawn fraction, so some pairs sit at an edge and some inside it.
+    """
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tol = DEFAULT_POLICY
+    out = []
+    for _ in range(2):
+        rank = draw(st.integers(1, d))
+        neg, tr, herm = (draw(st.sampled_from([0.0, 0.5, 0.999, 1.0])) for _ in range(3))
+        eigs = np.zeros(d)
+        eigs[:rank] = rng.dirichlet(np.ones(rank))
+        eigs[rank:] = -neg * tol.psd_tol
+        eigs *= (1.0 + tr * tol.trace_tol) / eigs.sum()
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        m = (q * eigs) @ q.conj().T
+        skew = rng.uniform(-1, 1, size=(d, d)) + 1j * rng.uniform(-1, 1, size=(d, d))
+        skew = skew - skew.conj().T  # anti-Hermitian, entries up to 2 sqrt(2)
+        out.append(m / 2 + m.conj().T / 2 + herm * tol.herm_tol * skew / (2 * np.abs(skew).max()))
+    return out
+
+
+def _edge_prior(kind, x):
+    if kind == "uniform":
+        return Prior.uniform()
+    if kind == "trunc_reciprocal":
+        return Prior.truncated_reciprocal(0.01 + 20 * x)
+    return Prior.from_table([0.0, x / 2, 1.0], [1.0 - x, 2.0, x])
+
+
+def _deviations(m):
+    """(max |m - m^H|, |tr m - 1|, smallest eigenvalue of the Hermitian part) of one matrix."""
+    herm = np.abs(m - m.conj().T).max()
+    eig = np.linalg.eigvalsh(m / 2 + m.conj().T / 2)[0]
+    return herm, abs(np.trace(m) - 1.0), eig
+
+
+class TestEffectiveStatesNeedNoRecheck:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(edge_state_pair(), st.sampled_from(["uniform", "trunc_reciprocal", "table"]), st.floats(0.0, 1.0))
+    def test_mixtures_stay_inside_the_inputs_bounds(self, pair, kind, x):
+        try:
+            rho1, rho2 = validate_states(pair)
+        except ValidationError:  # the drawn pair crossed an edge: not an input of this property
+            assume(False)
+        prior = _edge_prior(kind, x)
+        herm_in, tr_in, eig_in = zip(*map(_deviations, pair))
+        for rho in effective_states(prior, rho1, rho2):
+            assert isinstance(rho, DensityMatrix) and not rho.matrix.flags.writeable
+            herm, tr, eig = _deviations(rho.matrix)
+            assert herm <= max(herm_in) + ULPS
+            assert tr <= max(tr_in) + ULPS
+            assert eig >= min(eig_in) - ULPS

@@ -523,8 +523,12 @@ def _per_effect_traces(effects, states):
     return np.array([[float(np.trace(e @ rho).real) for e in effects] for rho in states])
 
 
+def _trace_coords(m):
+    return tuple(float(np.trace(p @ m).real) for p in PAULIS)
+
+
 def _trace_bloch(rho):
-    return BlochVector(*(float(np.trace(p @ rho.matrix).real) for p in PAULIS))
+    return BlochVector(*_trace_coords(rho.matrix))
 
 
 DIAGONAL_PAIRS = [
@@ -561,5 +565,6 @@ class TestOutputMatchesPerEffectFormulas:
         monkeypatch.setattr("mixest.bayes._traces", _per_effect_traces)
         monkeypatch.setattr("mixest.simulate._traces", _per_effect_traces)
         monkeypatch.setattr("mixest.qubit.bloch_decompose", _trace_bloch)
+        monkeypatch.setattr("mixest.qubit._pauli_coords", _trace_coords)
         assert run() == stacked
         assert stacked[0][0][0] == 0

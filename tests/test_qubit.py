@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mixest.bayes import Prior, effective_states, q_functional
+from mixest.bayes import EstimationReport, Prior, effective_states, q_functional
 from mixest.errors import (
     AlreadyPure,
     DegenerateProblem,
@@ -29,6 +30,8 @@ from mixest.states import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    Povm,
+    _compose_stack,
     bloch_compose,
     validate_effect,
     validate_povm,
@@ -472,3 +475,93 @@ class TestSldBound:
         q_star = sld_q(UNIFORM, rho1, rho2)
         assert q_star == pytest.approx(0.25 + 1e-11, abs=1e-13)
         assert optimal_pvm(UNIFORM, rho1, rho2).score.q_value == pytest.approx(q_star, abs=1e-12)
+
+
+def public_chain(prior, rho1, rho2):
+    """``optimal_pvm`` rebuilt from the public pieces, one call each."""
+    rho_a, rho_b = effective_states(prior, rho1, rho2)
+    geom = planar_geometry(rho_a, rho_b, scale=prior.mean**2)
+    sol = optimal_alpha(geom)
+    direction = geom.direction(sol.alpha)
+    povm = Povm((bloch_compose(direction, 0.5), bloch_compose(-direction, 0.5)))
+    score = q_functional(povm, prior, rho1, rho2)
+    return EstimationReport(povm=povm, score=score, prior=prior, alpha0=sol.alpha, geometry=geom)
+
+
+def report_bits(report):
+    """Every field of a report as bytes or float hex, signs of zeros included."""
+    g, s = report.geometry, report.score
+    floats = (s.q_value, s.mean_variance, report.alpha0, g.delta_r, g.r_b_norm, g.gamma, g.scale)
+    moments = [(o.prob, o.estimate, o.second, o.variance, o.never_occurs) for o in s.per_outcome]
+    return ([e.matrix.tobytes() for e in report.povm], [float(x).hex() for x in floats],
+            [tuple(float(x).hex() for x in m[:4]) + m[4:] for m in moments],
+            g.e_delta.tobytes(), g.e_perp.tobytes(), report.estimates)
+
+
+def old_bloch_compose(vec, weight):
+    """The per-vector product that ``bloch_compose`` computed before the stacked builder."""
+    vec = np.asarray(vec, dtype=float)
+    return weight * (np.eye(2, dtype=complex) + vec[0] * PAULI_X + vec[1] * PAULI_Y + vec[2] * PAULI_Z)
+
+
+AXES = [np.array(v) for v in itertools.product((-1.0, 0.0, 1.0), repeat=3) if sum(map(abs, v)) == 1]
+# the axes include (-1, 0, 0); it and (-0.6, 0, -0.8) put signed zeros into the effects
+EDGE_VECTORS = AXES + [0.5 * a for a in AXES] + [np.zeros(3), np.array([-0.6, 0.0, -0.8])]
+CHAIN_PRIORS = PRIORS + [Prior.from_table([0.0, 0.3, 1.0], [0.5, 1.5, 0.2])]
+
+
+def _chain_pairs(rng):
+    """Random mixed and pure pairs, then every ordered pair of distinct edge Bloch vectors."""
+    for _ in range(40):
+        yield random_density(rng, 2), random_density(rng, 2)
+        yield random_pure(rng, 2), random_density(rng, 2)
+    edge = [validate_state(old_bloch_compose(v, 0.5)) for v in EDGE_VECTORS]
+    for (i, rho1), (j, rho2) in itertools.product(enumerate(edge), repeat=2):
+        if i != j:
+            yield rho1, rho2
+
+
+class TestOnePassMatchesPublicChain:
+    @pytest.mark.parametrize("prior", CHAIN_PRIORS)
+    def test_report_bit_for_bit(self, prior, rng):
+        n = 0
+        for rho1, rho2 in _chain_pairs(rng):
+            assert report_bits(optimal_pvm(prior, rho1, rho2)) == report_bits(public_chain(prior, rho1, rho2))
+            n += 1
+        assert n == 80 + 14 * 13
+
+    def test_stacked_effects_match_bloch_compose(self, rng):
+        units = rng.normal(size=(500, 3))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        signed = [np.array(v) for v in itertools.product((-1.0, -0.6, -0.0, 0.0, 0.6, 0.8, 1.0), repeat=3)]
+        vectors = list(units) + [v for v in signed + EDGE_VECTORS if np.linalg.norm(v) <= 1.0]
+        for weight in (0.5, 0.25, 0.0):
+            stack = _compose_stack(np.array(vectors), weight)
+            for v, m in zip(vectors, stack):
+                single = bloch_compose(v, weight).matrix
+                assert m.tobytes() == single.tobytes()
+                assert single.tobytes() == old_bloch_compose(v, weight).tobytes()
+
+    def test_signed_zero_cases(self):
+        # writing the four entries directly gives -0.5-0j and -0.3-0j here
+        for v in ([-1.0, 0.0, 0.0], [-0.6, 0.0, -0.8]):
+            pair = _compose_stack(np.array([v, np.negative(v)]), 0.5)
+            assert pair[0].tobytes() == old_bloch_compose(v, 0.5).tobytes()
+            assert pair[1].tobytes() == old_bloch_compose(np.negative(v), 0.5).tobytes()
+            assert pair[0][0, 1] == v[0] / 2 and not np.signbit(pair[0][0, 1].imag)
+
+
+class TestNoRevalidationInside:
+    def test_optimal_pvm_runs_without_an_eigendecomposition(self, rng, monkeypatch):
+        pairs = [(random_density(rng, 2), random_density(rng, 2)) for _ in range(5)] + [(Z0, Z1)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called: a matrix was validated inside optimal_pvm")
+
+        monkeypatch.setattr("mixest.states.np.linalg.eigvalsh", refuse)
+        with pytest.raises(AssertionError):  # the patch does reach the validators
+            validate_state(np.eye(2) / 2)
+        for prior in CHAIN_PRIORS:
+            for rho1, rho2 in pairs:
+                report = optimal_pvm(prior, rho1, rho2)
+                assert len(report.povm) == 2

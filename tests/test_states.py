@@ -134,6 +134,37 @@ class TestBloch:
         with pytest.raises(VectorTooLong):
             bloch_compose([1.1, 0, 0], 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_compose_rejects_non_finite_vectors(self, bad):
+        for k in range(3):
+            vec = [0.0, 0.0, 0.0]
+            vec[k] = bad
+            with pytest.raises(BadParameter, match="finite"):
+                bloch_compose(vec, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_compose_rejects_non_finite_weights(self, bad):
+        with pytest.raises(BadParameter, match="finite"):
+            bloch_compose([0.0, 0.0, 1.0], bad)
+
+    def test_compose_rejects_negative_weight(self):
+        with pytest.raises(BadParameter, match="nonnegative"):
+            bloch_compose([0.0, 0.0, 1.0], -1e-300)
+        zero = bloch_compose([0.0, 0.0, 1.0], -0.0).matrix
+        assert zero.tobytes() == (-0.0 * (np.eye(2) + PAULI_Z)).tobytes()
+
+    @pytest.mark.parametrize("vec, weight", [([1.0, 0.0, 0.0], 0.5 + 1e-9), ([0.0, 0.0, 0.0], 1.0 + 1e-9),
+                                             ([0.0, 0.6, 0.0], 0.7)])
+    def test_compose_rejects_effects_past_their_bound(self, vec, weight):
+        with pytest.raises(EffectBoundExceeded) as err:
+            bloch_compose(vec, weight)
+        assert err.value.max_eigenvalue == pytest.approx(weight * (1.0 + np.linalg.norm(vec)))
+
+    def test_compose_accepts_the_bound(self):
+        for vec, weight in (([1.0, 0.0, 0.0], 0.5), ([0.0, 0.0, 0.0], 1.0), ([0.0, 0.6, 0.0], 0.625)):
+            eigs = np.linalg.eigvalsh(bloch_compose(vec, weight).matrix)
+            assert eigs[-1] == pytest.approx(1.0, abs=1e-15)
+
     def test_pure_iff_unit_norm(self, rng):
         for _ in range(20):
             v = rng.normal(size=3)
