@@ -15,9 +15,7 @@ from .bayes import (
     Prior,
     effective_states,
     posterior_moments,
-    prior_from_decoherence,
     q_functional,
-    q_permutation_form,
 )
 from .errors import EstimationError
 from .highdim import (
@@ -35,12 +33,9 @@ from .policy import DEFAULT_POLICY, NumericPolicy
 from .qubit import (
     AngleSolution,
     PlanarGeometry,
-    PlanarPovm,
     optimal_alpha,
     optimal_pvm,
     planar_geometry,
-    reduce_to_plane,
-    split_effect,
 )
 from .simulate import (
     DecoherenceModel,
@@ -84,7 +79,6 @@ __all__ = [
     "NumericPolicy",
     "OperatorBasis",
     "PlanarGeometry",
-    "PlanarPovm",
     "PosteriorMoments",
     "Povm",
     "Prior",
@@ -108,17 +102,13 @@ __all__ = [
     "planar_geometry",
     "posterior_moments",
     "ppt_threshold",
-    "prior_from_decoherence",
     "q_functional",
-    "q_permutation_form",
-    "reduce_to_plane",
     "run_simulation",
     "solve",
     "solve_commuting",
     "solve_decay_estimation",
     "solve_pure_plus_noise",
     "solve_two_dim_support",
-    "split_effect",
     "support_rank",
     "validate_povm",
     "validate_state",

@@ -25,6 +25,7 @@ give the same bits as a ``np.trace(E @ rho)`` per pair.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -35,7 +36,6 @@ from .errors import (
     DegenerateProblem,
     DimensionMismatch,
     NonPositiveParameter,
-    NonUniformPrior,
     ZeroMeanPrior,
 )
 from .policy import DEFAULT_POLICY
@@ -50,10 +50,19 @@ TRUNC_RECIPROCAL = "trunc_reciprocal"
 TABLE = "table"
 
 
-def _moment_check(mean: float, second: float, tol: float = 1e-9) -> None:
-    if not (0.0 < mean <= 1.0 + tol):
+# Moments computed in floating point may overshoot their bounds by rounding.
+_ROUNDING = 16 * sys.float_info.epsilon
+
+
+def _moment_check(mean: float, second: float) -> None:
+    """Refuse moments that no distribution on [0, 1] has, up to rounding.
+
+    ``second <= mean`` keeps the weight ``second / mean`` of
+    :func:`effective_states` in [0, 1], so the mixture stays convex.
+    """
+    if not (0.0 < mean <= 1.0 + _ROUNDING):
         raise BadParameter(f"prior mean must lie in (0, 1], got {mean}")
-    if second < mean * mean - tol or second > mean + tol:
+    if not (mean * mean * (1.0 - _ROUNDING) <= second <= mean * (1.0 + _ROUNDING)):
         raise BadParameter(
             f"prior moments violate mean^2 <= second_moment <= mean: mean={mean}, second={second}"
         )
@@ -125,13 +134,11 @@ class Prior:
             raise BadParameter("table lambda grid must lie in [0, 1]")
         if np.any(f < 0):
             raise BadParameter("table density must be nonnegative")
-        total = _table_moment(x, f, 0)
+        total, m1, m2, m3 = _table_moments(x, f)
         if total <= 0:
             raise BadParameter("table density integrates to zero")
         f = f / total
-        m1 = _table_moment(x, f, 1)
-        m2 = _table_moment(x, f, 2)
-        m3 = _table_moment(x, f, 3)
+        m1, m2, m3 = m1 / total, m2 / total, m3 / total
         fx = np.array(x)
         fx.setflags(write=False)
         ff = np.array(f)
@@ -178,16 +185,24 @@ class Prior:
         return self.sample_from_uniform(rng.random(size))
 
 
-def _table_moment(x: np.ndarray, f: np.ndarray, n: int) -> float:
-    """Exact integral of lam^n times a piecewise-linear density."""
-    total = 0.0
-    for i in range(len(x) - 1):
-        x0, x1 = x[i], x[i + 1]
-        slope = (f[i + 1] - f[i]) / (x1 - x0)
-        a = f[i] - slope * x0  # f(lam) = a + slope * lam on the segment
-        total += a * (x1 ** (n + 1) - x0 ** (n + 1)) / (n + 1)
-        total += slope * (x1 ** (n + 2) - x0 ** (n + 2)) / (n + 2)
-    return float(total)
+# 3-point Gauss-Legendre rule on [-1, 1]: exact up to degree 5
+_GL_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
+_GL_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
+
+
+def _table_moments(x: np.ndarray, f: np.ndarray) -> tuple[float, ...]:
+    """Integrals of lam^n times a piecewise-linear density, for n = 0..3.
+
+    A 3-point Gauss-Legendre rule per segment is exact for these
+    integrands (degree at most 4), and unlike the antiderivative
+    ``x1^(n+1) - x0^(n+1)`` it does not cancel on a short segment far
+    from zero.
+    """
+    half = np.diff(x)[:, None] / 2.0
+    lam = (x[:-1, None] + half) + half * _GL_NODES
+    dens = f[:-1, None] + np.diff(f)[:, None] * (1.0 + _GL_NODES) / 2.0
+    w = half * _GL_WEIGHTS * dens
+    return tuple(np.sum(w[..., None] * lam[..., None] ** np.arange(4), axis=(0, 1)).tolist())
 
 
 def _table_inverse_cdf(x: np.ndarray, f: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -208,11 +223,6 @@ def _table_inverse_cdf(x: np.ndarray, f: np.ndarray, u: np.ndarray) -> np.ndarra
         quadratic = (disc - f0) / np.where(np.abs(slope) < 1e-300, 1.0, slope)
         s = np.where(np.abs(slope) * h > 1e-12 * np.abs(f0) + 1e-300, quadratic, linear)
     return x0 + np.clip(s, 0.0, h)
-
-
-def prior_from_decoherence(t_bmax: float) -> Prior:
-    """Prior induced on ``lam = exp(-B t)`` by a uniform decay rate B."""
-    return Prior.truncated_reciprocal(t_bmax)
 
 
 @dataclass(frozen=True)
@@ -359,28 +369,6 @@ def q_functional(povm, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -
     if prior.mean <= 0.0:
         raise ZeroMeanPrior("prior mean must be positive")
     return _score(povm.matrices(), prior, _weighted_states(prior, rho1, rho2))
-
-
-def q_permutation_form(povm, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> float:
-    """Uniform-prior score written symmetrically in the two states.
-
-    Expanding the score around the midpoint mixture gives
-
-        (1 + sum_m tr[E_m (rho1 - rho2)]^2 / (18 tr[E_m (rho1 + rho2)])) / 4,
-
-    manifestly invariant under swapping rho1 and rho2 and equal to
-    :func:`q_functional` for the uniform prior.
-    """
-    if prior.kind != UNIFORM:
-        raise NonUniformPrior("the permutation-symmetric form is defined for the uniform prior")
-    povm = as_povm(povm)
-    tot, diff = _traces(povm.matrices(), (rho1.matrix + rho2.matrix, rho1.matrix - rho2.matrix)).tolist()
-    acc = 0.0
-    for den, num in zip(tot, diff):
-        if den < 2.0 * DEFAULT_POLICY.zero_prob:
-            continue
-        acc += num * num / (18.0 * den)
-    return 0.25 * (1.0 + acc)
 
 
 def reject_degenerate_prior(prior: Prior) -> None:

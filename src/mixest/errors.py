@@ -73,10 +73,6 @@ class ZeroMeanPrior(EstimationError):
     pass
 
 
-class NonUniformPrior(EstimationError):
-    pass
-
-
 class NonPositiveParameter(EstimationError):
     pass
 
@@ -87,10 +83,6 @@ class SingularDenominator(EstimationError):
 
 class DegenerateProblem(EstimationError):
     """The estimation problem carries no information (e.g. rho1 = rho2)."""
-
-
-class AlreadyPure(EstimationError):
-    pass
 
 
 class SupportTooLarge(EstimationError):

@@ -30,7 +30,6 @@ class NumericPolicy:
     support_tol: float = 1e-9        # eigenvalue threshold for support rank
     zero_prob: float = 1e-14         # outcome probability treated as "never occurs"
     degenerate_tol: float = 1e-12    # delta_r / prior variance below this is degenerate
-    angle_oracle_tol: float = 1e-6   # analytic optimal angle vs grid oracle (radians)
 
 
 DEFAULT_POLICY = NumericPolicy()

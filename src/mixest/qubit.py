@@ -1,16 +1,15 @@
-"""Planar reduction and the optimal two-outcome measurement for qubit mixtures.
+"""The optimal two-outcome measurement for qubit mixtures, in closed form.
 
-The optimization over all qubit POVMs collapses to a one-dimensional
-problem: project everything onto the plane spanned by the effective-state
-Bloch vectors, parametrize pure effects by an angle, and maximize
+The best qubit measurement is a two-outcome PVM along a direction in the
+plane spanned by the effective-state Bloch vectors.  At angle ``alpha``
+from the difference vector ``delta_r = r_a - r_b`` it scores
 
-    Q(alpha) = scale * (1 + delta_r^2 cos^2(alpha) / (1 - r_b^2 cos^2(alpha + gamma)))
+    Q(alpha) = scale * (1 + delta_r^2 cos^2(alpha) / (1 - r_b^2 cos^2(alpha + gamma))).
 
-over the angle ``alpha`` between the measurement direction and the
-difference vector ``delta_r = r_a - r_b``.  The score of a direction is a
-generalized Rayleigh quotient in the metric ``I - r_b r_b^T``, so a
-Cauchy-Schwarz step gives the maximizer and the maximum in closed form,
-with no search and no branches (see :func:`optimal_alpha`).
+The score of a direction is a generalized Rayleigh quotient in the metric
+``I - r_b r_b^T``, so a Cauchy-Schwarz step gives the maximizer and the
+maximum in closed form, with no search and no branches (see
+:func:`optimal_alpha`).
 """
 
 from __future__ import annotations
@@ -21,25 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import EstimationReport, Prior, _score, _weighted_states, reject_degenerate_prior
-from .errors import (
-    AlreadyPure,
-    DegenerateProblem,
-    InvalidPovm,
-    SingularDenominator,
-    WrongDimension,
-)
+from .errors import DegenerateProblem, SingularDenominator, WrongDimension
 from .policy import DEFAULT_POLICY
-from .states import (
-    DensityMatrix,
-    Effect,
-    Povm,
-    _compose_stack,
-    _pauli_coords,
-    as_povm,
-    bloch_compose,
-    bloch_decompose,
-    effect_bloch,
-)
+from .states import DensityMatrix, Effect, Povm, _compose_stack, _pauli_coords, bloch_decompose
 
 
 @dataclass(frozen=True)
@@ -66,57 +49,6 @@ class PlanarGeometry:
     def direction(self, alpha: float) -> np.ndarray:
         """Unit vector at angle alpha from the difference axis."""
         return math.cos(alpha) * self.e_delta + math.sin(alpha) * self.e_perp
-
-
-@dataclass(frozen=True)
-class PlanarPovm:
-    """Pure planar effects as (weight, angle) pairs.
-
-    Weights refer to the form ``E = p (I + r . sigma)`` with unit ``r``, so
-    completeness reads ``sum p = 1`` and ``sum p (cos a, sin a) = 0``.
-    Extremal planar measurements need at most three outcomes; reductions of
-    arbitrary POVMs may carry more.
-    """
-
-    outcomes: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if not self.outcomes:
-            raise InvalidPovm("planar POVM needs at least one outcome")
-        w = np.array([o[0] for o in self.outcomes])
-        a = np.array([o[1] for o in self.outcomes])
-        if np.any(w <= 0):
-            raise InvalidPovm("planar weights must be positive")
-        sum_dev = abs(float(w.sum()) - 1.0)
-        cen = np.array([float(w @ np.cos(a)), float(w @ np.sin(a))])
-        cen_dev = float(np.linalg.norm(cen))
-        if sum_dev > 1e-9 or cen_dev > 1e-9:
-            raise InvalidPovm(
-                f"planar completeness violated: sum deviation {sum_dev:.3e}, centroid {cen_dev:.3e}"
-            )
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([o[0] for o in self.outcomes])
-
-    @property
-    def angles(self) -> np.ndarray:
-        return np.array([o[1] for o in self.outcomes])
-
-
-@dataclass(frozen=True)
-class PlanarReduction:
-    """Result of projecting a POVM onto the effective-state plane.
-
-    ``projected`` keeps the in-plane effects before purification as
-    (weight, 2-vector) pairs; its score equals the input score exactly.
-    ``planar`` is the pure-effect split of the projection, whose score can
-    only be larger.
-    """
-
-    planar: PlanarPovm
-    geometry: PlanarGeometry
-    projected: tuple[tuple[float, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -203,94 +135,6 @@ def optimal_alpha(geom: PlanarGeometry) -> AngleSolution:
     dot = geom.r_b_norm * geom.delta_r * cos_g
     q_max = geom.scale * (1.0 + geom.delta_r**2 + dot * dot / (1.0 - r_b2))
     return AngleSolution(alpha, q_max)
-
-
-def planar_q(weights, angles, geom: PlanarGeometry):
-    """Score of planar POVMs given as weight and angle arrays.
-
-    Outcomes run along the last axis, so one call scores a single
-    :class:`PlanarPovm` (``planar.weights, planar.angles``), a batch, or a
-    grid of two-outcome PVMs ``{(1/2, a), (1/2, a + pi)}``.  An outcome
-    whose probability per unit weight under rho_b, ``1 + r_b cos(a + gamma)``,
-    is at most ``DEFAULT_POLICY.zero_prob`` never occurs and contributes zero.
-    """
-    angles = np.asarray(angles, dtype=float)
-    proj = geom.delta_r * np.cos(angles)
-    den = 1.0 + geom.r_b_norm * np.cos(angles + geom.gamma)
-    occurs = den > DEFAULT_POLICY.zero_prob
-    terms = np.where(occurs, weights * proj**2 / np.where(occurs, den, 1.0), 0.0)
-    return geom.scale * (1.0 + terms.sum(axis=-1))
-
-
-def planar_to_povm(planar: PlanarPovm, geom: PlanarGeometry) -> Povm:
-    """Rebuild full qubit effects from planar weights and angles."""
-    if len(geom.e_delta) != 3:
-        raise WrongDimension("reconstruction needs a three-dimensional Bloch frame")
-    effects = [bloch_compose(geom.direction(a), p) for p, a in planar.outcomes]
-    return Povm(tuple(effects))
-
-
-def projected_to_povm(projected: tuple[tuple[float, np.ndarray], ...], geom: PlanarGeometry) -> Povm:
-    """Rebuild (possibly non-pure) in-plane effects from a projection."""
-    if len(geom.e_delta) != 3:
-        raise WrongDimension("reconstruction needs a three-dimensional Bloch frame")
-    effects = [bloch_compose(q[0] * geom.e_delta + q[1] * geom.e_perp, p) for p, q in projected]
-    return Povm(tuple(effects))
-
-
-def reduce_to_plane(povm, rho_a: DensityMatrix, rho_b: DensityMatrix) -> PlanarReduction:
-    """Project a qubit POVM onto the plane of the effective states.
-
-    Projection drops the out-of-plane Bloch components, which the score
-    never sees, so the projected measurement scores exactly like the
-    input.  Non-pure projections are then split spectrally into pairs of
-    pure effects at weights ``p (1 +/- |q|) / 2`` along the projected axis
-    (a degenerate projection splits along the difference axis); splitting
-    never lowers the score.
-    """
-    povm = as_povm(povm)
-    if povm.dim != 2:
-        raise WrongDimension("plane reduction is defined for qubit POVMs")
-    geom = planar_geometry(rho_a, rho_b)
-    projected: list[tuple[float, np.ndarray]] = []
-    outcomes: list[tuple[float, float]] = []
-    for e in povm:
-        p, r = effect_bloch(e)
-        if p < 1e-14:
-            continue
-        q2 = np.array([r @ geom.e_delta, r @ geom.e_perp])
-        projected.append((p, q2))
-        qn = float(np.linalg.norm(q2))
-        if qn >= 1.0 - 1e-12:
-            outcomes.append((p, math.atan2(q2[1], q2[0])))
-            continue
-        theta = math.atan2(q2[1], q2[0]) if qn > 1e-14 else 0.0
-        w_plus = p * (1.0 + qn) / 2.0
-        w_minus = p * (1.0 - qn) / 2.0
-        if w_plus > 1e-15:
-            outcomes.append((w_plus, theta))
-        if w_minus > 1e-15:
-            outcomes.append((w_minus, theta + math.pi))
-    return PlanarReduction(PlanarPovm(tuple(outcomes)), geom, tuple(projected))
-
-
-def split_effect(effect: Effect) -> tuple[Effect, Effect]:
-    """Spectral split of a rank-two qubit effect into two pure parts.
-
-    Replacing an effect by its split never decreases the measurement
-    score.  A degenerate effect (proportional to the identity) is split
-    along the z axis by convention.
-    """
-    if effect.dim != 2:
-        raise WrongDimension("effect splitting is defined for qubits")
-    p, r = effect_bloch(effect)
-    rn = float(np.linalg.norm(r))
-    if p < 1e-14 or p * (1.0 - rn) <= DEFAULT_POLICY.psd_tol:
-        raise AlreadyPure("effect has rank below two; nothing to split")
-    axis = r / rn if rn > 1e-14 else np.array([0.0, 0.0, 1.0])
-    first = bloch_compose(axis, p * (1.0 + rn) / 2.0)
-    second = bloch_compose(-axis, p * (1.0 - rn) / 2.0)
-    return first, second
 
 
 def optimal_pvm(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> EstimationReport:

@@ -1,8 +1,10 @@
 """Built-in property checks behind the ``selftest`` subcommand.
 
 A condensed version of the test suite: each check prints one line and the
-run exits nonzero if anything fails.  Useful as a smoke test on a fresh
-install.
+run exits nonzero if anything fails.  The checks test answers: solved
+measurements against random POVMs, the closed-form qubit score against
+the score of the measurement it describes, and the sampler against its
+reference stream.  Useful as a smoke test on a fresh install.
 """
 
 from __future__ import annotations
@@ -12,22 +14,17 @@ import traceback
 
 import numpy as np
 
-from .bayes import Prior, effective_states, q_functional, q_permutation_form
+from .bayes import Prior, q_functional
 from .errors import BadParameter
-from .policy import DEFAULT_POLICY
-from .qubit import (
-    PlanarGeometry,
-    optimal_alpha,
-    optimal_pvm,
-    planar_q,
-    planar_to_povm,
-    projected_to_povm,
-    reduce_to_plane,
-    split_effect,
-)
-from .randutil import random_density, random_povm
+from .highdim import solve
+from .qubit import optimal_alpha, optimal_pvm
+from .randutil import random_commuting_pair, random_density, random_povm, random_pure
 from .simulate import _LANES_MAX, _philox_uniforms, min_ppt_eigenvalue, noisy_state, ppt_threshold
-from .states import bloch_compose, bloch_decompose, validate_state
+from .states import bloch_compose, bloch_decompose, validate_state, validate_states
+
+
+# one prior of each kind: uniform, truncated reciprocal, table
+_PRIORS = (Prior.uniform(), Prior.truncated_reciprocal(0.7), Prior.from_table([0.0, 0.4, 1.0], [0.3, 2.0, 0.5]))
 
 
 def _check_bloch_round_trip(rng):
@@ -47,58 +44,53 @@ def _check_uniform_complementarity(rng):
         povm = random_povm(rng, 2, 4)
         score = q_functional(povm, prior, rho1, rho2)
         assert abs(score.q_value + score.mean_variance - 1.0 / 3.0) < 1e-10
-        assert abs(q_permutation_form(povm, prior, rho1, rho2) - score.q_value) < 1e-12
 
 
 def _check_split_monotone(rng):
-    prior = Prior.uniform()
-    for _ in range(50):
-        rho1 = random_density(rng, 2)
-        rho2 = random_density(rng, 2)
-        povm = random_povm(rng, 2, 3)
-        base = q_functional(povm, prior, rho1, rho2).q_value
-        target = povm.effects[-1]
-        a, b = split_effect(target)
-        replaced = list(povm.matrices()[:-1]) + [a.matrix, b.matrix]
-        after = q_functional(replaced, prior, rho1, rho2).q_value
-        assert after >= base - 1e-12
+    for d in (2, 3, 4):
+        for k in range(21):
+            prior = _PRIORS[k % 3]
+            rho1 = random_density(rng, d)
+            rho2 = random_density(rng, d)
+            povm = random_povm(rng, d, 3)
+            base = q_functional(povm, prior, rho1, rho2).q_value
+            evals, vecs = np.linalg.eigh(povm.effects[-1].matrix)
+            parts = [e * np.outer(v, v.conj()) for e, v in zip(evals, vecs.T)]
+            after = q_functional(povm.matrices()[:-1] + parts, prior, rho1, rho2).q_value
+            assert after >= base - 1e-12
 
 
-def _check_plane_projection(rng):
-    prior = Prior.uniform()
-    for _ in range(50):
-        rho1 = random_density(rng, 2)
-        rho2 = random_density(rng, 2)
-        rho_a, rho_b = effective_states(prior, rho1, rho2)
-        povm = random_povm(rng, 2, 3)
-        base = q_functional(povm, prior, rho1, rho2).q_value
-        red = reduce_to_plane(povm, rho_a, rho_b)
-        projected = projected_to_povm(red.projected, red.geometry)
-        assert abs(q_functional(projected, prior, rho1, rho2).q_value - base) < 1e-12
-        split = planar_to_povm(red.planar, red.geometry)
-        assert q_functional(split, prior, rho1, rho2).q_value >= base - 1e-12
+def _rank_two_support_pair(rng, d):
+    basis, _ = np.linalg.qr(rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2)))
+    lift = [basis @ random_density(rng, 2).matrix @ basis.conj().T for _ in range(2)]
+    return validate_states(lift)
 
 
-def _grid_max(geom, alphas):
-    vals = planar_q(0.5, np.stack([alphas, alphas + math.pi], axis=-1), geom)
-    best = int(np.argmax(vals))
-    return float(alphas[best]), float(vals[best])
+def _check_solved_dominate(rng):
+    for d in (3, 4):
+        pairs = (
+            (random_pure(rng, d), validate_state(np.eye(d) / d)),
+            random_commuting_pair(rng, d),
+            _rank_two_support_pair(rng, d),
+        )
+        for prior in _PRIORS:
+            for rho1, rho2 in pairs:
+                out = solve(prior, rho1, rho2)
+                assert out.report is not None, out.certificate
+                best = out.report.score.q_value
+                for _ in range(10):
+                    povm = random_povm(rng, d, d + 1)
+                    assert q_functional(povm, prior, rho1, rho2).q_value <= best + 1e-9
 
 
-def _check_angle_oracle(rng):
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    coarse = np.linspace(-math.pi / 2, math.pi / 2, 2001)
-    step = coarse[1] - coarse[0]
-    for rb in (0.0, 0.3, 0.8, 0.95):
-        for gamma in np.linspace(-math.pi + 1e-9, math.pi, 41):
-            geom = PlanarGeometry(0.2, rb, float(gamma), e1, e2, 0.25)
-            sol = optimal_alpha(geom)
-            a0, _ = _grid_max(geom, coarse)
-            a_grid, q_grid = _grid_max(geom, np.linspace(a0 - step, a0 + step, 4001))
-            gap = abs(sol.alpha - a_grid) % math.pi
-            assert min(gap, math.pi - gap) <= DEFAULT_POLICY.angle_oracle_tol
-            assert sol.q_max >= q_grid - 1e-12
+def _check_closed_form_score(rng):
+    for prior in _PRIORS:
+        for _ in range(30):
+            rho1 = random_density(rng, 2)
+            rho2 = random_density(rng, 2)
+            report = optimal_pvm(prior, rho1, rho2)
+            q = q_functional(report.povm, prior, rho1, rho2).q_value
+            assert abs(q - optimal_alpha(report.geometry).q_max) < 1e-12
 
 
 def _check_optimal_dominates(rng):
@@ -146,8 +138,8 @@ CHECKS: list[tuple[str, object]] = [
     ("bloch round trip", _check_bloch_round_trip),
     ("uniform q + mean variance = 1/3", _check_uniform_complementarity),
     ("splitting never lowers the score", _check_split_monotone),
-    ("plane projection preserves the score", _check_plane_projection),
-    ("closed-form angle matches grid oracle", _check_angle_oracle),
+    ("solved d = 3, 4 answers dominate random POVMs", _check_solved_dominate),
+    ("optimal PVM scores the closed-form q_max", _check_closed_form_score),
     ("optimal PVM dominates random POVMs", _check_optimal_dominates),
     ("decoherence sampler moments", _check_sampler_moments),
     ("two-qubit PPT threshold", _check_ppt_threshold),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import EstimationReport, Prior, _traces, prior_from_decoherence, q_functional
+from .bayes import EstimationReport, Prior, _traces, q_functional
 from .errors import BadParameter, DegenerateProblem, RateOutOfRange, WrongShape
 from .highdim import ReductionOutcome, solve_pure_plus_noise
 from .policy import DEFAULT_POLICY
@@ -260,7 +260,7 @@ def solve_decay_estimation(model: DecoherenceModel, uniform_prior: bool = False)
     eq = model.equilibrium
     if float(np.max(np.abs(model.rho0.matrix - eq.matrix))) <= DEFAULT_POLICY.degenerate_tol:
         raise DegenerateProblem("initial state equals the equilibrium state; decay is invisible")
-    prior = Prior.uniform() if uniform_prior else prior_from_decoherence(model.t_bmax)
+    prior = Prior.uniform() if uniform_prior else Prior.truncated_reciprocal(model.t_bmax)
     report = optimal_pvm(prior, model.rho0, eq)
     lo = math.exp(-model.t_bmax)
     b_estimates = tuple(

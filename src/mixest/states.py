@@ -323,17 +323,6 @@ def _compose_stack(vecs: np.ndarray, weight: float) -> np.ndarray:
     return out
 
 
-def effect_bloch(effect: Effect) -> tuple[float, np.ndarray]:
-    """Return (p, r) with ``effect = p (I + r . sigma)``; r is zero for p = 0."""
-    if effect.dim != 2:
-        raise WrongDimension(f"expected a qubit effect, got dim {effect.dim}")
-    p = effect.weight()
-    if p < 1e-300:
-        return 0.0, np.zeros(3)
-    r = np.array(_pauli_coords(effect.matrix)) / (2.0 * p)
-    return p, r
-
-
 def gell_mann_basis(dim: int) -> OperatorBasis:
     """Generalized Gell-Mann generators, ordered symmetric / antisymmetric / diagonal.
 

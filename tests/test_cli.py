@@ -463,8 +463,10 @@ class TestDecoherence:
 
 
 class TestSelftest:
-    def test_runs_clean(self, capsys):
-        assert main(["selftest", "--seed", "1"]) == 0
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_runs_clean(self, seed, capsys):
+        # the checks draw random inputs; several seeds expose a fragile bound
+        assert main(["selftest", "--seed", str(seed)]) == 0
         out = capsys.readouterr().out
         assert "9/9 checks passed" in out
 

@@ -48,3 +48,13 @@ def test_only_the_validators_take_a_policy():
             if "policy" in params:
                 takes.add(f"{obj.__module__}.{obj.__qualname__}")
     assert takes == {"mixest.states.validate_states", "mixest.states.validate_povm"}
+
+
+def test_library_does_not_import_the_test_oracle():
+    # the planar reduction is a test reference; the library scores with q_functional only
+    import mixest
+
+    for path in (SRC / "mixest").glob("*.py"):
+        assert "planar_oracle" not in path.read_text(), path.name
+    for name in ("PlanarPovm", "reduce_to_plane", "split_effect", "q_permutation_form"):
+        assert not hasattr(mixest, name)

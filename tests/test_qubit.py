@@ -7,24 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixest.bayes import EstimationReport, Prior, effective_states, q_functional
-from mixest.errors import (
-    AlreadyPure,
-    DegenerateProblem,
-    InvalidPovm,
-    SingularDenominator,
-)
-from mixest.qubit import (
-    PlanarGeometry,
-    PlanarPovm,
-    optimal_alpha,
-    optimal_pvm,
-    planar_geometry,
-    planar_q,
-    planar_to_povm,
-    projected_to_povm,
-    reduce_to_plane,
-    split_effect,
-)
+from mixest.errors import DegenerateProblem, InvalidPovm, SingularDenominator
+from mixest.qubit import PlanarGeometry, optimal_alpha, optimal_pvm, planar_geometry
 from mixest.randutil import random_density, random_povm, random_pure
 from mixest.states import (
     PAULI_X,
@@ -36,6 +20,15 @@ from mixest.states import (
     validate_effect,
     validate_povm,
     validate_state,
+)
+from planar_oracle import (
+    AlreadyPure,
+    PlanarPovm,
+    planar_q,
+    planar_to_povm,
+    projected_to_povm,
+    reduce_to_plane,
+    split_effect,
 )
 
 UNIFORM = Prior.uniform()

@@ -29,7 +29,6 @@ from mixest.states import (
     bloch_compose,
     bloch_decompose,
     common_eigenbasis,
-    effect_bloch,
     gell_mann_basis,
     make_operator_basis,
     validate_effect,
@@ -37,6 +36,7 @@ from mixest.states import (
     validate_state,
     validate_states,
 )
+from planar_oracle import effect_bloch
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
