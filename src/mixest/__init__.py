@@ -51,14 +51,10 @@ from .states import (
     BlochVector,
     DensityMatrix,
     Effect,
-    OperatorBasis,
     Povm,
-    basis_compose,
-    basis_decompose,
     bloch_compose,
     bloch_decompose,
     common_eigenbasis,
-    gell_mann_basis,
     validate_povm,
     validate_state,
     validate_states,
@@ -77,7 +73,6 @@ __all__ = [
     "EstimationReport",
     "MeasurementScore",
     "NumericPolicy",
-    "OperatorBasis",
     "PlanarGeometry",
     "PosteriorMoments",
     "Povm",
@@ -87,8 +82,6 @@ __all__ = [
     "SimulationSummary",
     "TrialRecord",
     "aligned_basis",
-    "basis_compose",
-    "basis_decompose",
     "bloch_compose",
     "bloch_decompose",
     "common_eigenbasis",
@@ -96,7 +89,6 @@ __all__ = [
     "effective_states",
     "embed_and_check",
     "entanglement_demo",
-    "gell_mann_basis",
     "optimal_alpha",
     "optimal_pvm",
     "planar_geometry",

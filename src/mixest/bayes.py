@@ -216,12 +216,12 @@ def _table_inverse_cdf(x: np.ndarray, f: np.ndarray, u: np.ndarray) -> np.ndarra
     f0 = f[idx]
     slope = (f[idx + 1] - f0) / h
     rem = (u - cdf[idx]) * seg.sum()
-    # solve f0 * s + slope * s^2 / 2 = rem for s in [0, h]
+    # solve f0 * s + slope * s^2 / 2 = rem for s in [0, h] in the form
+    # 2 rem / (f0 + sqrt(f0^2 + 2 slope rem)), which does not cancel and
+    # covers slope = 0; den = 0 only where f0 = rem = 0, at s = 0
+    den = f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * slope * rem, 0.0))
     with np.errstate(invalid="ignore", divide="ignore"):
-        disc = np.sqrt(np.maximum(f0 * f0 + 2.0 * slope * rem, 0.0))
-        linear = rem / np.where(np.abs(f0) < 1e-300, 1.0, f0)
-        quadratic = (disc - f0) / np.where(np.abs(slope) < 1e-300, 1.0, slope)
-        s = np.where(np.abs(slope) * h > 1e-12 * np.abs(f0) + 1e-300, quadratic, linear)
+        s = np.where(den > 0, 2.0 * rem / den, 0.0)
     return x0 + np.clip(s, 0.0, h)
 
 

@@ -44,13 +44,9 @@ from .policy import DEFAULT_POLICY, SUBSPACE_POLICY
 from .qubit import optimal_alpha, optimal_pvm, planar_geometry_from_coords
 from .states import (
     DensityMatrix,
-    OperatorBasis,
-    Povm,
     _trusted_states,
     common_eigenbasis,
     commutator_norm,
-    gell_mann_basis,
-    make_operator_basis,
     validate_povm,
     validate_states,
 )
@@ -240,16 +236,15 @@ def solve_pure_plus_noise(prior: Prior, psi: np.ndarray, dim: int | None = None)
     )
 
 
-def aligned_basis(rho1: DensityMatrix, rho2: DensityMatrix) -> OperatorBasis:
-    """Operator basis whose first two generators span the states' traceless parts.
+def aligned_basis(rho1: DensityMatrix, rho2: DensityMatrix) -> tuple[np.ndarray, ...]:
+    """The d^2 - 1 orthonormal traceless generators, first two spanning the states' plane.
 
     The first two generators are the plane of :func:`_aligned_plane`; the
     remaining ones are Gell-Mann completions.  :func:`embed_and_check`
     needs only the plane and does not build this basis.
     """
     d = rho1.dim
-    generators = _gell_mann_completion(list(_aligned_plane(rho1, rho2)), d * d - 1)
-    return make_operator_basis(d, generators)
+    return tuple(_gell_mann_completion(list(_aligned_plane(rho1, rho2)), d * d - 1))
 
 
 def _aligned_plane(rho1: DensityMatrix, rho2: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -276,13 +271,32 @@ def _aligned_plane(rho1: DensityMatrix, rho2: DensityMatrix) -> tuple[np.ndarray
     return tuple(_gell_mann_completion([g1], 2))
 
 
+def _gell_mann(d: int):
+    """Generalized Gell-Mann generators, ordered symmetric / antisymmetric / diagonal.
+
+    Normalized so that tr(G_i G_j) = delta_ij; for d = 2 this is the Pauli
+    triple divided by sqrt(2).
+    """
+    pairs = [(j, k) for k in range(1, d) for j in range(k)]
+    for upper, lower in ((1.0, 1.0), (-1.0j, 1.0j)):
+        for j, k in pairs:
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = upper
+            m[k, j] = lower
+            yield m / np.sqrt(2.0)
+    for level in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        m[np.arange(level), np.arange(level)] = 1.0
+        m[level, level] = -float(level)
+        yield m / np.sqrt(level * (level + 1))
+
+
 def _gell_mann_completion(generators: list, count: int) -> list:
     """Extend orthonormal generators to ``count`` by Gram-Schmidt on the Gell-Mann family."""
     d = generators[0].shape[0]
-    for gm in gell_mann_basis(d).generators:
+    for cand in _gell_mann(d):
         if len(generators) == count:
             break
-        cand = gm.astype(complex)
         for g in generators:
             cand = cand - _hs_inner(g, cand) * g
         cn = _hs_norm(cand)
@@ -304,7 +318,6 @@ def embed_and_check(
     prior: Prior,
     rho1: DensityMatrix,
     rho2: DensityMatrix,
-    basis: OperatorBasis | None = None,
 ) -> ReductionOutcome:
     """Two-generator embedding with a positivity check on the rebuilt effects.
 
@@ -315,19 +328,15 @@ def embed_and_check(
     positive the problem stays unreduced and no optimality is claimed.  A
     positive pair is validated at :data:`~mixest.policy.SUBSPACE_POLICY`.
 
-    Only the plane (G_1, G_2) enters, so without an explicit ``basis`` the
-    full :func:`aligned_basis` is never built.  An explicit ``basis`` must
-    have the states in the span of its first two generators, or
-    :class:`BasisAlignmentFailed` is raised.
+    Only the plane (G_1, G_2) of :func:`_aligned_plane` enters; the full
+    :func:`aligned_basis` is never built.  If a state is not rebuilt from
+    its plane coordinates to 1e-8, :class:`BasisAlignmentFailed` is raised.
     """
     _check_problem(prior, rho1, rho2)
     d = rho1.dim
     if float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= DEFAULT_POLICY.degenerate_tol:
         raise DegenerateProblem("rho1 = rho2")
-    if basis is None:
-        g1, g2 = _aligned_plane(rho1, rho2)
-    else:
-        g1, g2 = basis.generators[0], basis.generators[1]
+    g1, g2 = _aligned_plane(rho1, rho2)
 
     # expressibility over (G_0, G_1, G_2)
     scale = d / math.sqrt(d * d - d)
@@ -387,12 +396,3 @@ def embed_and_check(
         report=report,
         min_eigenvalue=min_eig,
     )
-
-
-def pinch_to_basis(povm: Povm, basis: np.ndarray) -> Povm:
-    """Replace every effect by its diagonal part in the given basis."""
-    effects = []
-    for e in povm:
-        diag = np.real(np.diag(basis.conj().T @ e.matrix @ basis))
-        effects.append(basis @ np.diag(diag.astype(complex)) @ basis.conj().T)
-    return validate_povm(effects)

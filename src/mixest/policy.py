@@ -24,7 +24,6 @@ class NumericPolicy:
     effect_bound_tol: float = 1e-10  # largest effect eigenvalue <= 1 + tol
     povm_sum_tol: float = 1e-9       # |sum E_m - I| entrywise
     bloch_norm_tol: float = 1e-10    # Bloch norm <= 1 + tol
-    basis_tol: float = 1e-10         # operator-basis orthonormality
     commute_tol: float = 1e-9        # max |[rho1, rho2]| for "commuting"
     diag_tol: float = 1e-8           # off-diagonals after joint diagonalization
     support_tol: float = 1e-9        # eigenvalue threshold for support rank

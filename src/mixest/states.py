@@ -1,4 +1,4 @@
-"""Density matrices, measurement effects and Bloch-type coordinates.
+"""Density matrices, measurement effects and qubit Bloch coordinates.
 
 All types are immutable after construction (the wrapped arrays are made
 read-only), so they are safe to share across threads.  Validation happens
@@ -39,12 +39,6 @@ PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 for _p in PAULIS:
     _p.setflags(write=False)
-
-
-def _freeze(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=complex)
-    out.setflags(write=False)
-    return out
 
 
 def _as_square_matrix(m) -> np.ndarray:
@@ -137,10 +131,6 @@ class Effect:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def weight(self) -> float:
-        """Half the trace; the ``p`` in the qubit form ``p (I + r.sigma)``."""
-        return float(np.trace(self.matrix).real) / 2.0
-
 
 @dataclass(frozen=True)
 class Povm:
@@ -175,17 +165,6 @@ class BlochVector:
 
     def norm(self) -> float:
         return float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
-
-
-@dataclass(frozen=True)
-class OperatorBasis:
-    """Orthonormal traceless Hermitian generators G_1 .. G_{d^2-1}.
-
-    The implicit G_0 = I/sqrt(d) completes the basis of operator space.
-    """
-
-    dim: int
-    generators: tuple[np.ndarray, ...]
 
 
 def validate_states(matrices, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[DensityMatrix, ...]:
@@ -321,81 +300,6 @@ def _compose_stack(vecs: np.ndarray, weight: float) -> np.ndarray:
     out = weight * (np.eye(2, dtype=complex) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
     out.setflags(write=False)
     return out
-
-
-def gell_mann_basis(dim: int) -> OperatorBasis:
-    """Generalized Gell-Mann generators, ordered symmetric / antisymmetric / diagonal.
-
-    Normalized so that tr(G_i G_j) = delta_ij; for dim = 2 this is the
-    Pauli triple divided by sqrt(2).
-    """
-    if dim < 2:
-        raise WrongDimension(f"need dim >= 2, got {dim}")
-    mats: list[np.ndarray] = []
-    for k in range(1, dim):
-        for j in range(k):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            mats.append(m / np.sqrt(2.0))
-    for k in range(1, dim):
-        for j in range(k):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
-            mats.append(m / np.sqrt(2.0))
-    for level in range(1, dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[np.arange(level), np.arange(level)] = 1.0
-        m[level, level] = -float(level)
-        mats.append(m / np.sqrt(level * (level + 1)))
-    return make_operator_basis(dim, mats)
-
-
-def make_operator_basis(dim: int, generators) -> OperatorBasis:
-    """Validate orthonormality and tracelessness of a generator list."""
-    gens = tuple(_freeze(_as_square_matrix(g)) for g in generators)
-    if len(gens) != dim * dim - 1:
-        raise DimensionMismatch(f"need {dim * dim - 1} generators for dim {dim}, got {len(gens)}")
-    for i, g in enumerate(gens):
-        if g.shape != (dim, dim):
-            raise DimensionMismatch(f"generator {i} has shape {g.shape}")
-    stack = np.array(gens, dtype=complex).reshape(len(gens), dim, dim)
-    bad = np.flatnonzero(np.abs(np.trace(stack, axis1=1, axis2=2)) > DEFAULT_POLICY.basis_tol)
-    if bad.size:
-        raise InvalidPovm(f"generator {bad[0]} is not traceless")
-    flat = stack.reshape(len(gens), dim * dim)
-    gram = flat.conj() @ flat.T  # gram[i, j] = tr(G_i^dag G_j)
-    off = np.argwhere(np.triu(np.abs(gram - np.eye(len(gens))) > DEFAULT_POLICY.basis_tol))
-    if off.size:
-        i, j = off[0]
-        raise InvalidPovm(f"generators {i},{j} are not orthonormal: tr(Gi Gj) = {gram[i, j]:.3e}")
-    return OperatorBasis(dim, gens)
-
-
-def basis_decompose(rho: DensityMatrix, basis: OperatorBasis) -> np.ndarray:
-    """Generalized coordinate vector of a state over an operator basis.
-
-    Coordinates are scaled so that pure states have unit norm:
-    ``r_i = tr(G_i rho) * d / sqrt(d^2 - d)``.
-    """
-    if rho.dim != basis.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} vs basis dim {basis.dim}")
-    d = basis.dim
-    scale = d / np.sqrt(d * d - d)
-    return np.array([float(np.trace(g @ rho.matrix).real) for g in basis.generators]) * scale
-
-
-def basis_compose(coords, basis: OperatorBasis) -> np.ndarray:
-    """Inverse of :func:`basis_decompose`: rebuild the trace-one operator."""
-    r = np.asarray(coords, dtype=float)
-    if r.shape != (len(basis.generators),):
-        raise DimensionMismatch(f"expected {len(basis.generators)} coordinates, got shape {r.shape}")
-    d = basis.dim
-    out = np.eye(d, dtype=complex)
-    for ri, g in zip(r, basis.generators):
-        out = out + np.sqrt(d * d - d) * ri * g
-    return out / d
 
 
 def _phase_fix(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:

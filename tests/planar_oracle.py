@@ -7,8 +7,10 @@ which never lowers it.  The library gets the optimum in closed form
 (:func:`mixest.qubit.optimal_alpha`) and does not need this argument, so
 it lives here, where the tests use it as an independent route to the same
 numbers.  It also keeps the planar score in its angle form
-(:func:`planar_q`) and the uniform-prior score written symmetrically in
-the two states (:func:`q_permutation_form`).
+(:func:`planar_q`), the uniform-prior score written symmetrically in the
+two states (:func:`q_permutation_form`) and the pinching of a POVM onto a
+basis (:func:`pinch_to_basis`), which leaves the score of commuting states
+unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from mixest.bayes import UNIFORM, Prior, _traces
 from mixest.errors import EstimationError, InvalidPovm, WrongDimension
 from mixest.policy import DEFAULT_POLICY
 from mixest.qubit import PlanarGeometry, planar_geometry
-from mixest.states import DensityMatrix, Effect, Povm, _pauli_coords, as_povm, bloch_compose
+from mixest.states import DensityMatrix, Effect, Povm, _pauli_coords, as_povm, bloch_compose, validate_povm
 
 
 class AlreadyPure(EstimationError):
@@ -37,7 +39,7 @@ def effect_bloch(effect: Effect) -> tuple[float, np.ndarray]:
     """Return (p, r) with ``effect = p (I + r . sigma)``; r is zero for p = 0."""
     if effect.dim != 2:
         raise WrongDimension(f"expected a qubit effect, got dim {effect.dim}")
-    p = effect.weight()
+    p = float(np.trace(effect.matrix).real) / 2.0
     if p < 1e-300:
         return 0.0, np.zeros(3)
     r = np.array(_pauli_coords(effect.matrix)) / (2.0 * p)
@@ -203,3 +205,12 @@ def q_permutation_form(povm, prior: Prior, rho1: DensityMatrix, rho2: DensityMat
             continue
         acc += num * num / (18.0 * den)
     return 0.25 * (1.0 + acc)
+
+
+def pinch_to_basis(povm: Povm, basis: np.ndarray) -> Povm:
+    """Replace every effect by its diagonal part in the given basis."""
+    effects = []
+    for e in povm:
+        diag = np.real(np.diag(basis.conj().T @ e.matrix @ basis))
+        effects.append(basis @ np.diag(diag.astype(complex)) @ basis.conj().T)
+    return validate_povm(effects)

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from mixest.bayes import Prior, effective_states, q_functional
 from mixest.qubit import PlanarGeometry, optimal_alpha, optimal_pvm
-from mixest.highdim import pinch_to_basis, solve_commuting
+from mixest.highdim import solve_commuting
 from mixest.randutil import random_commuting_pair, random_density, random_povm
 from mixest.simulate import (
     DecoherenceModel,
@@ -31,7 +31,7 @@ from mixest.states import (
     common_eigenbasis,
     validate_state,
 )
-from planar_oracle import projected_to_povm, q_permutation_form, reduce_to_plane, split_effect
+from planar_oracle import pinch_to_basis, projected_to_povm, q_permutation_form, reduce_to_plane, split_effect
 
 UNIFORM = Prior.uniform()
 Z0 = validate_state(np.diag([1.0, 0.0]))

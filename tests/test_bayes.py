@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -140,6 +141,26 @@ class TestPriors:
         mid = p.sample_from_uniform(0.5)
         total, _ = quad(lambda x: p.density(x), 0.0, mid, epsabs=1e-12)
         assert total == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("u", [1e-3, 1e-5, 1e-7])
+    def test_table_draw_near_segment_start_is_exact(self, u):
+        # a root written as (sqrt(f0^2 + 2 slope rem) - f0) / slope cancels
+        # here; the reference is that same root at 60 digits
+        lams, dens = [0.0, 0.3, 1.0], [0.5, 1.5, 0.2]
+        draw = Prior.from_table(lams, dens).sample_from_uniform(u)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x, f = [Decimal(v) for v in lams], [Decimal(v) for v in dens]
+            total = sum((x[i + 1] - x[i]) * (f[i] + f[i + 1]) / 2 for i in range(2))
+            slope = (f[1] - f[0]) / (x[1] - x[0])
+            exact = ((f[0] ** 2 + 2 * slope * Decimal(u) * total).sqrt() - f[0]) / slope
+            assert abs(Decimal(draw) - exact) / exact < Decimal("1e-15")
+
+    def test_table_draw_at_zero_density_start(self):
+        # the first segment has zero mass; u = 0 lands on the start of the
+        # second, where f0 = 0 and rem = 0
+        p = Prior.from_table([0.0, 0.5, 1.0], [0.0, 0.0, 2.0])
+        assert p.sample_from_uniform(0.0) == 0.5
 
     def test_table_rejects_bad_input(self):
         with pytest.raises(BadParameter):

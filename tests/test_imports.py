@@ -51,10 +51,23 @@ def test_only_the_validators_take_a_policy():
 
 
 def test_library_does_not_import_the_test_oracle():
-    # the planar reduction is a test reference; the library scores with q_functional only
+    # the planar reduction is a test reference and the operator-basis layer is
+    # gone; the library scores with q_functional only
     import mixest
 
     for path in (SRC / "mixest").glob("*.py"):
         assert "planar_oracle" not in path.read_text(), path.name
-    for name in ("PlanarPovm", "reduce_to_plane", "split_effect", "q_permutation_form"):
+    removed = ("PlanarPovm", "reduce_to_plane", "split_effect", "q_permutation_form")
+    removed += ("OperatorBasis", "gell_mann_basis", "basis_compose", "basis_decompose")
+    for name in removed:
         assert not hasattr(mixest, name)
+
+
+def test_embedding_takes_no_basis_and_policy_no_basis_tol():
+    # embed_and_check works in its two-generator plane only
+    import dataclasses
+
+    import mixest
+
+    assert "basis" not in inspect.signature(mixest.embed_and_check).parameters
+    assert "basis_tol" not in {f.name for f in dataclasses.fields(mixest.NumericPolicy)}

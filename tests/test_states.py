@@ -18,19 +18,16 @@ from mixest.errors import (
     WrongDimension,
 )
 from mixest.policy import DEFAULT_POLICY
+from mixest.highdim import _gell_mann, aligned_basis
 from mixest.randutil import random_density, random_povm, random_pure, random_commuting_pair
 from mixest.states import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     DensityMatrix,
-    basis_compose,
-    basis_decompose,
     bloch_compose,
     bloch_decompose,
     common_eigenbasis,
-    gell_mann_basis,
-    make_operator_basis,
     validate_effect,
     validate_povm,
     validate_state,
@@ -188,10 +185,25 @@ class TestBloch:
 
 
 class TestOperatorBasis:
+    """The Gell-Mann generators that ``aligned_basis`` and the plane fallback complete from.
+
+    Coordinates use the embedding's scale, ``r_i = tr(G_i rho) d / sqrt(d^2 - d)``,
+    so pure states have unit norm.
+    """
+
+    @staticmethod
+    def decompose(rho, gens):
+        d = rho.dim
+        return np.array([np.trace(g @ rho.matrix).real for g in gens]) * d / math.sqrt(d * d - d)
+
+    @staticmethod
+    def compose(coords, gens):
+        d = gens[0].shape[0]
+        return (np.eye(d) + math.sqrt(d * d - d) * np.tensordot(coords, np.array(gens), 1)) / d
+
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_orthonormal_and_traceless(self, dim):
-        basis = gell_mann_basis(dim)
-        gens = basis.generators
+        gens = list(_gell_mann(dim))
         assert len(gens) == dim * dim - 1
         for i, gi in enumerate(gens):
             assert abs(np.trace(gi)) < 1e-10
@@ -200,80 +212,44 @@ class TestOperatorBasis:
                 assert abs(inner - (1.0 if i == j else 0.0)) < 1e-10
 
     def test_qubit_basis_is_scaled_paulis(self):
-        gens = gell_mann_basis(2).generators
-        assert gens[2] == pytest.approx(PAULI_Z / math.sqrt(2))
+        gens = list(_gell_mann(2))
+        for g, pauli in zip(gens, (PAULI_X, PAULI_Y, PAULI_Z), strict=True):
+            assert g == pytest.approx(pauli / math.sqrt(2))
 
     def test_decompose_maximally_mixed(self):
         for dim in (2, 3, 4):
-            basis = gell_mann_basis(dim)
-            coords = basis_decompose(validate_state(np.eye(dim) / dim), basis)
+            coords = self.decompose(validate_state(np.eye(dim) / dim), list(_gell_mann(dim)))
             assert np.max(np.abs(coords)) < 1e-12
 
-    def test_decompose_matches_bloch_for_qubits(self):
-        basis = gell_mann_basis(2)
-        coords = basis_decompose(validate_state(Z0), basis)
-        assert coords == pytest.approx([0, 0, 1], abs=1e-12)
+    def test_decompose_matches_bloch_for_qubits(self, rng):
+        gens = list(_gell_mann(2))
+        assert self.decompose(validate_state(Z0), gens) == pytest.approx([0, 0, 1], abs=1e-12)
+        for _ in range(10):
+            rho = random_density(rng, 2)
+            assert self.decompose(rho, gens) == pytest.approx(
+                bloch_decompose(rho).as_array(), abs=1e-12
+            )
 
     def test_pure_qutrit_has_unit_coordinate_norm(self):
-        basis = gell_mann_basis(3)
-        coords = basis_decompose(validate_state(np.diag([1.0, 0, 0])), basis)
+        coords = self.decompose(validate_state(np.diag([1.0, 0, 0])), list(_gell_mann(3)))
         assert np.sum(coords**2) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_round_trip_and_purity(self, dim, rng):
-        basis = gell_mann_basis(dim)
         for _ in range(15):
             rho = random_pure(rng, dim)
-            coords = basis_decompose(rho, basis)
-            recon = basis_compose(coords, basis)
-            assert np.max(np.abs(recon - rho.matrix)) < 1e-10
-            assert np.sum(coords**2) == pytest.approx(1.0, abs=1e-9)
             mixed = random_density(rng, dim)
-            coords = basis_decompose(mixed, basis)
-            purity = mixed.purity()
-            # tr(rho^2) = 1/d + (1 - 1/d) |r|^2 under this normalization
-            expected = 1.0 / dim + (1.0 - 1.0 / dim) * float(np.sum(coords**2))
-            assert purity == pytest.approx(expected, abs=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            basis_decompose(validate_state(np.eye(2) / 2), gell_mann_basis(3))
-
-    @staticmethod
-    def first_violation(gens, tol=1e-10):
-        """Reference: the pairwise trace loop that the Gram-matrix check replaced."""
-        for i, g in enumerate(gens):
-            if abs(np.trace(g)) > tol:
-                return f"generator {i} is not traceless"
-        for i in range(len(gens)):
-            for j in range(i, len(gens)):
-                inner = np.trace(gens[i].conj().T @ gens[j])
-                if abs(inner - (1.0 if i == j else 0.0)) > tol:
-                    return f"generators {i},{j} are not orthonormal"
-        return None
-
-    @pytest.mark.parametrize("dim", [3, 4])
-    def test_rejection_names_the_first_offending_generators(self, dim, rng):
-        n = dim * dim - 1
-        for _ in range(20):
-            gens = [g.copy() for g in gell_mann_basis(dim).generators]
-            i, j = sorted(rng.choice(n, size=2, replace=False))
-            kind = rng.integers(4)
-            if kind == 0:
-                gens[j] = gens[j] * (1.0 + rng.choice([1e-3, 3e-10, 3e-11]))
-            elif kind == 1:
-                gens[j] = gens[j] + rng.choice([1e-3, 3e-10, 3e-11]) * gens[i]
-            elif kind == 2:
-                gens[i] = gens[i] + 1e-3 * np.eye(dim)
-            else:
-                gens[i], gens[j] = gens[i] + 1e-3 * gens[j], gens[j] + 1e-3 * gens[i]
-            expected = self.first_violation(gens)
-            if expected is None:
-                make_operator_basis(dim, gens)
-                continue
-            with pytest.raises(InvalidPovm) as err:
-                make_operator_basis(dim, gens)
-            assert str(err.value).startswith(expected)
+            # the Gell-Mann family and the completed aligned basis both span the states
+            for gens in (list(_gell_mann(dim)), aligned_basis(rho, mixed)):
+                coords = self.decompose(rho, gens)
+                recon = self.compose(coords, gens)
+                assert np.max(np.abs(recon - rho.matrix)) < 1e-10
+                assert np.sum(coords**2) == pytest.approx(1.0, abs=1e-9)
+                coords = self.decompose(mixed, gens)
+                assert np.max(np.abs(self.compose(coords, gens) - mixed.matrix)) < 1e-10
+                # tr(rho^2) = 1/d + (1 - 1/d) |r|^2 under this normalization
+                expected = 1.0 / dim + (1.0 - 1.0 / dim) * float(np.sum(coords**2))
+                assert mixed.purity() == pytest.approx(expected, abs=1e-9)
 
 
 class TestCommonEigenbasis:
