@@ -14,7 +14,6 @@ from .bayes import (
     PosteriorMoments,
     Prior,
     effective_states,
-    posterior_moments,
     q_functional,
 )
 from .errors import EstimationError
@@ -41,14 +40,12 @@ from .simulate import (
     DecoherenceModel,
     SimulationSummary,
     TrialRecord,
-    decoherence_state,
     entanglement_demo,
     ppt_threshold,
     run_simulation,
     solve_decay_estimation,
 )
 from .states import (
-    BlochVector,
     DensityMatrix,
     Effect,
     Povm,
@@ -64,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleSolution",
-    "BlochVector",
     "DEFAULT_POLICY",
     "DecoherenceModel",
     "DensityMatrix",
@@ -85,14 +81,12 @@ __all__ = [
     "bloch_compose",
     "bloch_decompose",
     "common_eigenbasis",
-    "decoherence_state",
     "effective_states",
     "embed_and_check",
     "entanglement_demo",
     "optimal_alpha",
     "optimal_pvm",
     "planar_geometry",
-    "posterior_moments",
     "ppt_threshold",
     "q_functional",
     "run_simulation",

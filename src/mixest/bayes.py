@@ -36,10 +36,9 @@ from .errors import (
     DegenerateProblem,
     DimensionMismatch,
     NonPositiveParameter,
-    ZeroMeanPrior,
 )
 from .policy import DEFAULT_POLICY
-from .states import DensityMatrix, Effect, Povm, _trusted_states, as_povm
+from .states import DensityMatrix, Povm, _trusted_states, as_povm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .qubit import PlanarGeometry
@@ -73,7 +72,9 @@ class Prior:
     """Distribution of the mixing parameter on [0, 1].
 
     Carries closed-form first three moments, the support interval and a
-    named sampling rule.  Use the classmethod constructors.
+    named sampling rule.  Use the classmethod constructors.  Every
+    construction, ``dataclasses.replace`` included, checks the moments,
+    so the mean that the scores divide by is always positive.
     """
 
     kind: str
@@ -181,9 +182,6 @@ class Prior:
             raise BadParameter(f"unknown prior kind {self.kind!r}")
         return float(out[0]) if u.ndim == 0 else out.reshape(u.shape)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.sample_from_uniform(rng.random(size))
-
 
 # 3-point Gauss-Legendre rule on [-1, 1]: exact up to degree 5
 _GL_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
@@ -251,7 +249,6 @@ class EstimationReport:
 
     povm: Povm
     score: MeasurementScore
-    prior: Prior
     alpha0: float | None = None
     geometry: "PlanarGeometry | None" = None
     degenerate: bool = False
@@ -259,10 +256,6 @@ class EstimationReport:
     @property
     def estimates(self) -> tuple[float, ...]:
         return tuple(o.estimate for o in self.score.per_outcome)
-
-    @property
-    def mean_variance(self) -> float:
-        return self.score.mean_variance
 
 
 def effective_states(
@@ -282,8 +275,6 @@ def effective_states(
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} vs {rho2.dim}")
-    if prior.mean <= 0.0:
-        raise ZeroMeanPrior("prior mean must be positive")
     return _trusted_states(_mixtures([prior.second_moment / prior.mean, prior.mean], rho1, rho2))
 
 
@@ -342,36 +333,21 @@ def _weighted_states(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> 
     return _mixtures([w, prior.mean, wc], rho1, rho2)
 
 
-def posterior_moments(
-    effect: Effect, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix
-) -> PosteriorMoments:
-    """Outcome probability and posterior moments of the mixing parameter.
-
-    An outcome with probability below ``DEFAULT_POLICY.zero_prob`` is flagged
-    ``never_occurs`` and keeps the prior moments as its estimate.
-    """
-    if effect.dim != rho1.dim or rho1.dim != rho2.dim:
-        raise DimensionMismatch("effect and states must share one dimension")
-    if prior.mean <= 0.0:
-        raise ZeroMeanPrior("prior mean must be positive")
-    return _scored([effect.matrix], prior, _weighted_states(prior, rho1, rho2))[0]
-
-
 def q_functional(povm, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> MeasurementScore:
     """Score a POVM; the mean variance is the expected squared error.
 
-    Outcomes that never occur contribute zero to the score.  For the
-    uniform prior ``q_value + mean_variance = 1/3`` holds identically.
+    An outcome with probability below ``DEFAULT_POLICY.zero_prob`` is
+    flagged ``never_occurs``, keeps the prior moments as its estimate and
+    contributes zero to the score.  For the uniform prior
+    ``q_value + mean_variance = 1/3`` holds identically.
     """
     povm = as_povm(povm)
-    if povm.dim != rho1.dim:
-        raise DimensionMismatch(f"POVM dim {povm.dim} vs state dim {rho1.dim}")
-    if prior.mean <= 0.0:
-        raise ZeroMeanPrior("prior mean must be positive")
+    if not povm.dim == rho1.dim == rho2.dim:
+        raise DimensionMismatch(f"POVM dim {povm.dim} vs state dims {rho1.dim} and {rho2.dim}")
     return _score(povm.matrices(), prior, _weighted_states(prior, rho1, rho2))
 
 
 def reject_degenerate_prior(prior: Prior) -> None:
     """Optimizers refuse priors with (numerically) zero variance."""
-    if prior.kind == POINT_MASS or prior.variance <= DEFAULT_POLICY.degenerate_tol:
+    if prior.variance <= DEFAULT_POLICY.degenerate_tol:
         raise DegenerateProblem("prior has zero variance; nothing to estimate")

@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from .bayes import EstimationReport, Prior, q_functional
-from .errors import EstimationError, ParseError, BadParameter, UnsolvedCase
+from .errors import BadParameter, DimensionMismatch, EstimationError, ParseError, UnsolvedCase
 from .highdim import solve
 from .qubit import PlanarGeometry, optimal_alpha
 from .randutil import random_povm
@@ -108,6 +108,8 @@ def load_problem(path: str, prior_override: Prior | None = None):
         rho1, rho2 = validate_states([matrix_from_json(obj["rho1"]), matrix_from_json(obj["rho2"])])
     except KeyError as exc:
         raise ParseError(f"problem file misses {exc}") from exc
+    if rho1.dim != rho2.dim:
+        raise DimensionMismatch(f"states have different dimensions {rho1.dim} vs {rho2.dim}")
     prior = prior_override or prior_from_json(obj.get("prior", {"kind": "uniform"}))
     options = obj.get("options", {})
     if not isinstance(options, dict):

@@ -69,10 +69,6 @@ class NotCommuting(EstimationError):
         super().__init__(f"states do not commute: max |[rho1, rho2]| = {commutator_norm:.3e}")
 
 
-class ZeroMeanPrior(EstimationError):
-    pass
-
-
 class NonPositiveParameter(EstimationError):
     pass
 
@@ -99,10 +95,6 @@ class BasisAlignmentFailed(EstimationError):
     def __init__(self, residual: float):
         self.residual = float(residual)
         super().__init__(f"states are not expressible over the first two generators: residual {residual:.3e}")
-
-
-class RateOutOfRange(EstimationError):
-    pass
 
 
 class ParseError(EstimationError):

@@ -142,7 +142,7 @@ def solve_commuting(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> R
     povm = validate_povm([np.outer(basis[:, i], basis[:, i].conj()) for i in range(d)])
     score = q_functional(povm, prior, rho1, rho2)
     degenerate = float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= DEFAULT_POLICY.degenerate_tol
-    report = EstimationReport(povm=povm, score=score, prior=prior, degenerate=degenerate)
+    report = EstimationReport(povm=povm, score=score, degenerate=degenerate)
     return ReductionOutcome(
         kind=ReductionKind.COMMUTING,
         certificate=f"common eigenbasis of commuting states (commutator norm {commutator_norm(rho1, rho2):.2e})",
@@ -198,7 +198,7 @@ def solve_two_dim_support(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix
         lifted.append(complement)
     povm = validate_povm(lifted)
     score = q_functional(povm, prior, rho1, rho2)
-    report = EstimationReport(povm=povm, score=score, prior=prior, alpha0=alpha0, degenerate=degenerate)
+    report = EstimationReport(povm=povm, score=score, alpha0=alpha0, degenerate=degenerate)
     return ReductionOutcome(
         kind=ReductionKind.TWO_DIM_SUBSPACE,
         certificate="qubit problem on the joint two-dimensional support, projectors lifted back",
@@ -228,7 +228,7 @@ def solve_pure_plus_noise(prior: Prior, psi: np.ndarray, dim: int | None = None)
     rho1, rho2 = _trusted_states([projector, np.eye(d, dtype=complex) / d])
     povm = validate_povm([projector, np.eye(d, dtype=complex) - projector])
     score = q_functional(povm, prior, rho1, rho2)
-    report = EstimationReport(povm=povm, score=score, prior=prior, alpha0=0.0)
+    report = EstimationReport(povm=povm, score=score, alpha0=0.0)
     return ReductionOutcome(
         kind=ReductionKind.PURE_WITH_NOISE,
         certificate="subspace test on the pure state against white noise",
@@ -389,7 +389,7 @@ def embed_and_check(
         if best is None or score.q_value > best[1].q_value:
             best = (povm, score, min_eig)
     povm, score, min_eig = best
-    report = EstimationReport(povm=povm, score=score, prior=prior, alpha0=sol.alpha)
+    report = EstimationReport(povm=povm, score=score, alpha0=sol.alpha)
     return ReductionOutcome(
         kind=ReductionKind.EMBEDDED,
         certificate="two-generator embedding; rebuilt effects are positive",

@@ -104,9 +104,7 @@ def planar_geometry(rho_a: DensityMatrix, rho_b: DensityMatrix, scale: float = 0
     """Planar geometry of a qubit problem from its effective states."""
     if rho_a.dim != 2 or rho_b.dim != 2:
         raise WrongDimension("planar geometry needs qubit states")
-    return planar_geometry_from_coords(
-        bloch_decompose(rho_a).as_array(), bloch_decompose(rho_b).as_array(), scale
-    )
+    return planar_geometry_from_coords(bloch_decompose(rho_a), bloch_decompose(rho_b), scale)
 
 
 def optimal_alpha(geom: PlanarGeometry) -> AngleSolution:
@@ -161,4 +159,4 @@ def optimal_pvm(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> Estim
     effects = _compose_stack(np.array([direction, -direction]), 0.5)
     povm = Povm(tuple(map(Effect, effects)))
     score = _score(effects, prior, states)
-    return EstimationReport(povm=povm, score=score, prior=prior, alpha0=sol.alpha, geometry=geom)
+    return EstimationReport(povm=povm, score=score, alpha0=sol.alpha, geometry=geom)

@@ -32,7 +32,7 @@ def _check_bloch_round_trip(rng):
         v = rng.normal(size=3)
         v *= rng.random() / np.linalg.norm(v)
         rho = validate_state(bloch_compose(v, 0.5).matrix)
-        back = bloch_decompose(rho).as_array()
+        back = bloch_decompose(rho)
         assert np.max(np.abs(back - v)) < 1e-12
 
 
@@ -106,7 +106,7 @@ def _check_optimal_dominates(rng):
 
 def _check_sampler_moments(rng):
     prior = Prior.truncated_reciprocal(math.log(2.0))
-    draws = prior.sample(rng, 200000)
+    draws = prior.sample_from_uniform(rng.random(200000))
     n = len(draws)
     for moment, target in ((1, prior.mean), (2, prior.second_moment)):
         vals = draws**moment

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import EstimationReport, Prior, _traces, q_functional
-from .errors import BadParameter, DegenerateProblem, RateOutOfRange, WrongShape
+from .errors import BadParameter, DegenerateProblem, WrongShape
 from .highdim import ReductionOutcome, solve_pure_plus_noise
 from .policy import DEFAULT_POLICY
 from .qubit import optimal_pvm
-from .states import DensityMatrix, Povm, _trusted_states, as_povm, validate_state
+from .states import DensityMatrix, Povm, _trusted_states, as_povm
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 65536  # trials per vectorised block; bounds the sampler's memory
@@ -70,7 +70,7 @@ class DecoherenceModel:
 
     @property
     def equilibrium(self) -> DensityMatrix:
-        return validate_state(np.diag([self.s, 1.0 - self.s]).astype(complex))
+        return _trusted_states([np.diag([self.s, 1.0 - self.s])])[0]
 
     @property
     def t_bmax(self) -> float:
@@ -226,15 +226,6 @@ def run_simulation(
     return summary, list(map(TrialRecord, *(c.tolist() for c in columns)))
 
 
-def decoherence_state(model: DecoherenceModel, b: float) -> DensityMatrix:
-    """State after decaying at rate ``b`` for the model's time span."""
-    if not (0.0 <= b <= model.b_max):
-        raise RateOutOfRange(f"rate {b} outside [0, {model.b_max}]")
-    lam = math.exp(-b * model.t)
-    m = lam * model.rho0.matrix + (1.0 - lam) * model.equilibrium.matrix
-    return validate_state(m)
-
-
 @dataclass(frozen=True)
 class DecayEstimation:
     """Optimal measurement for the decay problem plus rate read-out.
@@ -244,7 +235,6 @@ class DecayEstimation:
     itself a Bayes estimator of the rate.
     """
 
-    model: DecoherenceModel
     prior: Prior
     report: EstimationReport
     b_estimates: tuple[float, ...]
@@ -266,7 +256,7 @@ def solve_decay_estimation(model: DecoherenceModel, uniform_prior: bool = False)
     b_estimates = tuple(
         -math.log(min(max(g, lo), 1.0)) / model.t for g in report.estimates
     )
-    return DecayEstimation(model=model, prior=prior, report=report, b_estimates=b_estimates)
+    return DecayEstimation(prior=prior, report=report, b_estimates=b_estimates)
 
 
 # --- two-qubit entanglement demo -------------------------------------------

@@ -107,8 +107,10 @@ class DensityMatrix:
     constructor itself checks nothing; the library calls it directly only
     for matrices that are valid by construction, through
     :func:`_trusted_states`: the prior-weighted mixtures of two validated
-    states (:func:`~mixest.bayes.effective_states`) and the exact pair
-    ``|psi><psi|``, ``I/d`` of a normalised vector.
+    states (:func:`~mixest.bayes.effective_states`), the exact pair
+    ``|psi><psi|``, ``I/d`` of a normalised vector, and the equilibrium
+    ``diag(s, 1 - s)``, ``s`` in [0, 1], of
+    :class:`~mixest.simulate.DecoherenceModel`.
     """
 
     matrix: np.ndarray
@@ -116,9 +118,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
 
 @dataclass(frozen=True)
@@ -152,21 +151,6 @@ class Povm:
         return [e.matrix for e in self.effects]
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Real three-vector coordinatizing a qubit operator."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
-
-
 def validate_states(matrices, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[DensityMatrix, ...]:
     """Validate matrices as density matrices, all in one pass.
 
@@ -180,8 +164,9 @@ def _trusted_states(matrices) -> tuple[DensityMatrix, ...]:
     """Density matrices, unchecked, from a stack that is valid by construction.
 
     Only for the callers named in :class:`DensityMatrix`: each matrix is a
-    convex mixture of validated states or an exact projector and ``I/d``,
-    so a check could only reject it within rounding of a tolerance edge.
+    convex mixture of validated states, an exact projector and ``I/d``, or
+    a diagonal of two weights in [0, 1] that sum to one, so a check could
+    only reject it within rounding of a tolerance edge.
     """
     stack = np.array(matrices, dtype=complex)
     stack.setflags(write=False)
@@ -201,11 +186,6 @@ def validate_state(m) -> DensityMatrix:
         Each carries the offending magnitude.
     """
     return validate_states([m])[0]
-
-
-def validate_effect(m) -> Effect:
-    """Validate a matrix as a POVM effect (Hermitian, PSD, <= identity)."""
-    return Effect(_checked([m], DEFAULT_POLICY, effect=True)[0])
 
 
 def validate_povm(matrices, policy: NumericPolicy = DEFAULT_POLICY) -> Povm:
@@ -246,11 +226,11 @@ def _pauli_coords(m: np.ndarray) -> tuple[float, float, float]:
     return (m10.real + m01.real + 0.0, m10.imag - m01.imag + 0.0, m00.real - m11.real + 0.0)
 
 
-def bloch_decompose(rho: DensityMatrix) -> BlochVector:
+def bloch_decompose(rho: DensityMatrix) -> np.ndarray:
     """Bloch vector (tr(sigma_x rho), tr(sigma_y rho), tr(sigma_z rho)) of a qubit state."""
     if rho.dim != 2:
         raise WrongDimension(f"Bloch decomposition needs a qubit, got dim {rho.dim}")
-    return BlochVector(*_pauli_coords(rho.matrix))
+    return np.array(_pauli_coords(rho.matrix))
 
 
 def bloch_compose(r, weight: float) -> Effect:
@@ -271,7 +251,7 @@ def bloch_compose(r, weight: float) -> Effect:
         The largest eigenvalue ``weight * (1 + |r|)`` exceeds one by more
         than ``effect_bound_tol``.
     """
-    vec = r.as_array() if isinstance(r, BlochVector) else np.asarray(r, dtype=float)
+    vec = np.asarray(r, dtype=float)
     if vec.shape != (3,):
         raise WrongDimension(f"expected a 3-vector, got shape {vec.shape}")
     weight = float(weight)

@@ -8,7 +8,7 @@ from mixest.bayes import Prior
 from mixest.cli import build_parser, load_problem, main, matrix_from_json, matrix_to_json
 from mixest.highdim import solve
 from mixest.randutil import haar_vector, random_commuting_pair, random_density
-from mixest.states import PAULIS, BlochVector
+from mixest.states import PAULIS
 
 
 def write_json(path, obj):
@@ -312,6 +312,17 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith("error: matrix is not positive semidefinite")
 
+    @pytest.mark.parametrize("povm", ["optimal", "file"])
+    def test_states_of_different_dimensions_exit_two(self, tmp_path, capsys, povm):
+        problem = problem_file(tmp_path, np.diag([1.0, 0.0]), np.eye(3) / 3)
+        if povm == "file":
+            effects = [matrix_json(np.diag([1.0, 0.0])), matrix_json(np.diag([0.0, 1.0]))]
+            povm = write_json(tmp_path / "povm.json", {"effects": effects})
+        assert main(["simulate", "--problem", problem, "--povm", povm, "--n-trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: states have different dimensions 2 vs 3\n"
+
     def test_one_by_one_states_exit_two(self, tmp_path, capsys):
         assert main(["simulate", "--problem", one_by_one_problem(tmp_path), "--n-trials", "10"]) == 2
         captured = capsys.readouterr()
@@ -530,7 +541,7 @@ def _trace_coords(m):
 
 
 def _trace_bloch(rho):
-    return BlochVector(*_trace_coords(rho.matrix))
+    return np.array(_trace_coords(rho.matrix))
 
 
 DIAGONAL_PAIRS = [

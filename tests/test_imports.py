@@ -9,6 +9,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _library_modules():
+    import mixest
+
+    return [mixest] + [importlib.import_module(f"mixest.{m.name}") for m in pkgutil.iter_modules(mixest.__path__)]
+
+
 def test_import_does_not_load_scipy():
     # scipy is a test-only dependency; the library must not pull it in
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -32,11 +38,8 @@ def test_import_does_not_load_numpy_random():
 def test_only_the_validators_take_a_policy():
     # the library reads its tolerances from DEFAULT_POLICY; a per-call
     # tolerance record stays on the two validators that need a second one
-    import mixest
-
-    modules = [mixest] + [importlib.import_module(f"mixest.{m.name}") for m in pkgutil.iter_modules(mixest.__path__)]
     takes = set()
-    for module in modules:
+    for module in _library_modules():
         for name, obj in vars(module).items():
             public = not name.startswith("_") and getattr(obj, "__module__", "").startswith("mixest")
             if not (public and (inspect.isfunction(obj) or inspect.isclass(obj))):
@@ -51,16 +54,54 @@ def test_only_the_validators_take_a_policy():
 
 
 def test_library_does_not_import_the_test_oracle():
-    # the planar reduction is a test reference and the operator-basis layer is
-    # gone; the library scores with q_functional only
+    # the planar reduction is a test reference, and the operator-basis layer,
+    # the second entry points, the Bloch wrapper and the unreachable checks
+    # are gone; the library scores with q_functional only
+    import dataclasses
+
     import mixest
+    from mixest.simulate import DecayEstimation
 
     for path in (SRC / "mixest").glob("*.py"):
         assert "planar_oracle" not in path.read_text(), path.name
     removed = ("PlanarPovm", "reduce_to_plane", "split_effect", "q_permutation_form")
     removed += ("OperatorBasis", "gell_mann_basis", "basis_compose", "basis_decompose")
+    removed += ("posterior_moments", "validate_effect", "BlochVector", "decoherence_state")
+    removed += ("ZeroMeanPrior", "RateOutOfRange")
+    modules = _library_modules()
     for name in removed:
-        assert not hasattr(mixest, name)
+        assert not any(hasattr(module, name) for module in modules), name
+    gone = {
+        mixest.EstimationReport: ("prior", "mean_variance"),
+        DecayEstimation: ("model",),
+        mixest.DensityMatrix: ("purity",),
+        mixest.Prior: ("sample",),
+    }
+    for cls, attrs in gone.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        for attr in attrs:
+            assert not hasattr(cls, attr) and attr not in fields, f"{cls.__name__}.{attr}"
+
+
+def test_public_surface_is_pinned():
+    # a new public name is a decision: list it here and in mixest.__all__
+    import mixest
+
+    assert sorted(mixest.__all__) == [
+        "AngleSolution", "DEFAULT_POLICY", "DecoherenceModel", "DensityMatrix", "Effect",
+        "EstimationError", "EstimationReport", "MeasurementScore", "NumericPolicy", "PlanarGeometry",
+        "PosteriorMoments", "Povm", "Prior", "ReductionKind", "ReductionOutcome", "SimulationSummary",
+        "TrialRecord", "aligned_basis", "bloch_compose", "bloch_decompose", "common_eigenbasis",
+        "effective_states", "embed_and_check", "entanglement_demo", "optimal_alpha", "optimal_pvm",
+        "planar_geometry", "ppt_threshold", "q_functional", "run_simulation", "solve", "solve_commuting",
+        "solve_decay_estimation", "solve_pure_plus_noise", "solve_two_dim_support", "support_rank",
+        "validate_povm", "validate_state", "validate_states",
+    ]
+    public = {
+        name for name, obj in vars(mixest).items()
+        if not name.startswith("_") and getattr(obj, "__module__", "").startswith("mixest")
+    }
+    assert public <= set(mixest.__all__), public - set(mixest.__all__)
 
 
 def test_embedding_takes_no_basis_and_policy_no_basis_tol():

@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 
 from mixest.bayes import EstimationReport, Prior, effective_states, q_functional
 from mixest.errors import DegenerateProblem, InvalidPovm, SingularDenominator
+from mixest.policy import DEFAULT_POLICY
 from mixest.qubit import PlanarGeometry, optimal_alpha, optimal_pvm, planar_geometry
 from mixest.randutil import random_density, random_povm, random_pure
 from mixest.states import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    Effect,
     Povm,
+    _checked,
     _compose_stack,
     bloch_compose,
-    validate_effect,
     validate_povm,
     validate_state,
 )
@@ -348,14 +350,19 @@ class TestReduceToPlane:
             PlanarPovm(((0.7, 0.0), (0.3, math.pi / 2)))
 
 
+def checked_effect(m):
+    """One matrix validated as a POVM effect, as ``validate_povm`` checks each of its effects."""
+    return Effect(_checked([m], DEFAULT_POLICY, effect=True)[0])
+
+
 class TestSplitEffect:
     def test_degenerate_splits_along_z(self):
-        a, b = split_effect(validate_effect(0.5 * np.eye(2)))
+        a, b = split_effect(checked_effect(0.5 * np.eye(2)))
         assert a.matrix == pytest.approx(0.25 * (np.eye(2) + PAULI_Z))
         assert b.matrix == pytest.approx(0.25 * (np.eye(2) - PAULI_Z))
 
     def test_diagonal_effect(self):
-        effect = validate_effect(np.diag([0.6, 0.2]))
+        effect = checked_effect(np.diag([0.6, 0.2]))
         a, b = split_effect(effect)
         mats = sorted([a.matrix, b.matrix], key=lambda m: -m[0, 0].real)
         assert mats[0] == pytest.approx(np.diag([0.6, 0.0]), abs=1e-12)
@@ -363,7 +370,7 @@ class TestSplitEffect:
 
     def test_rejects_pure_effect(self):
         with pytest.raises(AlreadyPure):
-            split_effect(validate_effect(np.diag([0.8, 0.0])))
+            split_effect(checked_effect(np.diag([0.8, 0.0])))
 
     def test_split_never_lowers_score(self, rng):
         for _ in range(100):
@@ -453,7 +460,7 @@ class TestSldBound:
         report = optimal_pvm(prior, rho1, rho2)
         q = report.score.q_value
         assert q == pytest.approx(sld_q(prior, rho1, rho2), abs=1e-12)
-        assert q + report.mean_variance == pytest.approx(prior.second_moment, abs=1e-12)
+        assert q + report.score.mean_variance == pytest.approx(prior.second_moment, abs=1e-12)
 
     @pytest.mark.xfail(
         strict=True,
@@ -478,7 +485,7 @@ def public_chain(prior, rho1, rho2):
     direction = geom.direction(sol.alpha)
     povm = Povm((bloch_compose(direction, 0.5), bloch_compose(-direction, 0.5)))
     score = q_functional(povm, prior, rho1, rho2)
-    return EstimationReport(povm=povm, score=score, prior=prior, alpha0=sol.alpha, geometry=geom)
+    return EstimationReport(povm=povm, score=score, alpha0=sol.alpha, geometry=geom)
 
 
 def report_bits(report):

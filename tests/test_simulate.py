@@ -8,7 +8,7 @@ from numpy.random import Generator, Philox
 import mixest.simulate
 from mixest.bayes import Prior, q_functional
 from mixest.cli import main, matrix_from_json, matrix_to_json
-from mixest.errors import BadParameter, DegenerateProblem, RateOutOfRange, WrongShape
+from mixest.errors import BadParameter, DegenerateProblem, WrongShape
 from mixest.highdim import solve_pure_plus_noise
 from mixest.qubit import optimal_pvm
 from mixest.randutil import random_density, random_povm
@@ -18,7 +18,6 @@ from mixest.simulate import (
     DemoRow,
     SimulationSummary,
     TrialRecord,
-    decoherence_state,
     entanglement_demo,
     is_entangled,
     min_ppt_eigenvalue,
@@ -103,21 +102,17 @@ class TestDecoherenceModel:
     def model(self, s=0.5, t=1.0, b_max=math.log(2.0)):
         return DecoherenceModel(s=s, t=t, b_max=b_max, rho0=Z0)
 
-    def test_zero_rate_keeps_initial_state(self):
-        assert decoherence_state(self.model(), 0.0).matrix == pytest.approx(Z0.matrix)
+    @pytest.mark.parametrize("s", [0.0, 0.1, 0.3, 0.5, 1.0])
+    def test_equilibrium_has_the_validated_bits_without_a_check(self, s, monkeypatch):
+        expected = validate_state(np.diag([s, 1.0 - s]).astype(complex)).matrix
 
-    def test_fast_rate_approaches_equilibrium(self):
-        model = DecoherenceModel(s=0.3, t=50.0, b_max=1.0, rho0=Z0)
-        final = decoherence_state(model, 1.0)
-        assert final.matrix == pytest.approx(np.diag([0.3, 0.7]), abs=1e-12)
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called: the equilibrium state was validated again")
 
-    def test_half_life(self):
-        state = decoherence_state(self.model(), math.log(2.0))
-        assert state.matrix == pytest.approx(np.diag([0.75, 0.25]), abs=1e-12)
-
-    def test_rate_out_of_range(self):
-        with pytest.raises(RateOutOfRange):
-            decoherence_state(self.model(), 1.0)
+        monkeypatch.setattr("mixest.states.np.linalg.eigvalsh", refuse)
+        eq = self.model(s=s).equilibrium
+        assert eq.matrix.tobytes() == expected.tobytes()
+        assert not eq.matrix.flags.writeable
 
     def test_parameter_validation(self):
         with pytest.raises(BadParameter):
@@ -173,7 +168,7 @@ class TestDecayEstimation:
     def test_sampler_moments_at_scale(self):
         prior = Prior.truncated_reciprocal(math.log(2.0))
         rng = np.random.default_rng(99)
-        draws = prior.sample(rng, 1_000_000)
+        draws = prior.sample_from_uniform(rng.random(1_000_000))
         for power, target in ((1, prior.mean), (2, prior.second_moment)):
             vals = draws**power
             err = vals.std(ddof=1) / math.sqrt(len(vals))
