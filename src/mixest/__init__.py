@@ -51,7 +51,6 @@ from .states import (
     Povm,
     bloch_compose,
     bloch_decompose,
-    common_eigenbasis,
     validate_povm,
     validate_state,
     validate_states,
@@ -80,7 +79,6 @@ __all__ = [
     "aligned_basis",
     "bloch_compose",
     "bloch_decompose",
-    "common_eigenbasis",
     "effective_states",
     "embed_and_check",
     "entanglement_demo",

@@ -38,7 +38,7 @@ from .errors import (
     NonPositiveParameter,
 )
 from .policy import DEFAULT_POLICY
-from .states import DensityMatrix, Povm, _trusted_states, as_povm
+from .states import DensityMatrix, Povm, _trusted_states, as_povm, validate_povm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .qubit import PlanarGeometry
@@ -331,6 +331,31 @@ def _weighted_states(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> 
     w = prior.second_moment / prior.mean
     wc = prior.third_moment / prior.second_moment
     return _mixtures([w, prior.mean, wc], rho1, rho2)
+
+
+def _sld_report(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> EstimationReport:
+    """The projectors onto the eigenspaces of the Bayesian SLD, scored.
+
+    ``L`` solves ``rho_b L + L rho_b = 2 mean rho_a`` (Personick, IEEE
+    Trans. Inf. Theory 17, 240, 1971).  In the eigenbasis ``(e, V)`` of
+    rho_b it reads ``L_ij = 2 C_ij / (e_i + e_j)`` with
+    ``C = V^H (mean rho_a) V``, and 0 where ``e_i + e_j <= support_tol``.
+    The PVM onto its eigenspaces reaches the optimum ``tr(mean rho_a L)``,
+    and each eigenvalue is the estimate of its outcome.  Eigenvalues that
+    lie within ``support_tol`` of their neighbour share one projector, so
+    the outcomes come in ascending-estimate order and merge only where
+    estimates tie, which leaves the score unchanged.
+    """
+    states = _weighted_states(prior, rho1, rho2)
+    e, v = np.linalg.eigh(states[1])
+    c = prior.mean * (v.conj().T @ states[0] @ v)
+    den = e[:, None] + e[None, :]
+    support = den > DEFAULT_POLICY.support_tol
+    estimates, w = np.linalg.eigh(np.where(support, 2.0 * c / np.where(support, den, 1.0), 0.0))
+    groups = np.split(v @ w, np.flatnonzero(np.diff(estimates) > DEFAULT_POLICY.support_tol) + 1, axis=1)
+    povm = validate_povm([u @ u.conj().T for u in groups])
+    degenerate = float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= DEFAULT_POLICY.degenerate_tol
+    return EstimationReport(povm=povm, score=_score(povm.matrices(), prior, states), degenerate=degenerate)
 
 
 def q_functional(povm, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> MeasurementScore:

@@ -6,16 +6,18 @@ applies:
 * qubits -> the closed-form optimal PVM of :func:`optimal_pvm`,
 * a pure state mixed with white noise -> the two-outcome subspace test
   on the pure state,
-* commuting states -> projective measurement in the common eigenbasis,
-* states supported on one two-dimensional subspace -> solve the induced
-  qubit problem and lift the projectors back,
+* commuting states, then states supported on one two-dimensional
+  subspace -> the projectors onto the eigenspaces of the Bayesian SLD
+  (:func:`~mixest.bayes._sld_report`), the exact optimum in any
+  dimension; each route checks its own condition first,
 * otherwise, embed the two states in a two-generator coordinate plane,
   solve the planar problem there, and rebuild a candidate two-outcome
   measurement.  The rebuilt effects need not be positive in dimension
   three or higher; when positivity fails the outcome is marked
   "unreduced" and no optimality claim is made.
 
-Every solved route scores its measurement with :func:`q_functional`.
+Every solved route scores its measurement with the score of
+:func:`q_functional`.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from .bayes import (
     EstimationReport,
     Prior,
+    _sld_report,
     q_functional,
     reject_degenerate_prior,
 )
@@ -36,6 +39,7 @@ from .errors import (
     BasisAlignmentFailed,
     DegenerateProblem,
     DimensionMismatch,
+    NotCommuting,
     SupportTooLarge,
     WrongDimension,
     WrongShape,
@@ -45,10 +49,8 @@ from .qubit import optimal_alpha, optimal_pvm, planar_geometry_from_coords
 from .states import (
     DensityMatrix,
     _trusted_states,
-    common_eigenbasis,
     commutator_norm,
     validate_povm,
-    validate_states,
 )
 
 
@@ -88,8 +90,8 @@ def solve(
     Picks the first route that applies, in the order of the module
     docstring.  A pure state against white noise is tested before the
     commuting route, which would also apply (white noise commutes with
-    everything) but reports the finer eigenbasis measurement at the same
-    score.
+    everything); the subspace test builds the same two projectors
+    straight from the pure state.
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"states have different dimensions {rho1.dim} vs {rho2.dim}")
@@ -130,23 +132,19 @@ def _check_problem(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> No
 
 
 def solve_commuting(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> ReductionOutcome:
-    """Optimal measurement for commuting states: the common eigenbasis PVM.
+    """Optimal measurement for commuting states, or :class:`NotCommuting`.
 
-    The rank-one PVM is the finest measurement commuting with both states;
-    merging outcomes with equal eigenvalue pairs would not change the
-    score, and refining cannot hurt it.
+    The eigenspaces of the Bayesian SLD are spanned by common eigenvectors
+    of the two states, one projector per distinct estimate.
     """
     _check_problem(prior, rho1, rho2)
-    basis = common_eigenbasis(rho1, rho2)  # raises NotCommuting
-    d = rho1.dim
-    povm = validate_povm([np.outer(basis[:, i], basis[:, i].conj()) for i in range(d)])
-    score = q_functional(povm, prior, rho1, rho2)
-    degenerate = float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= DEFAULT_POLICY.degenerate_tol
-    report = EstimationReport(povm=povm, score=score, degenerate=degenerate)
+    cnorm = commutator_norm(rho1, rho2)
+    if cnorm >= DEFAULT_POLICY.commute_tol:
+        raise NotCommuting(cnorm)
     return ReductionOutcome(
         kind=ReductionKind.COMMUTING,
-        certificate=f"common eigenbasis of commuting states (commutator norm {commutator_norm(rho1, rho2):.2e})",
-        report=report,
+        certificate=f"common eigenbasis of commuting states (commutator norm {cnorm:.2e})",
+        report=_sld_report(prior, rho1, rho2),
     )
 
 
@@ -156,53 +154,22 @@ def support_rank(rho1: DensityMatrix, rho2: DensityMatrix) -> int:
     return int(np.sum(evals > DEFAULT_POLICY.support_tol))
 
 
-def joint_support(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
-    """Orthonormal columns spanning the joint support, or SupportTooLarge."""
-    total = (rho1.matrix + rho2.matrix) / 2.0
-    evals, vecs = np.linalg.eigh(total)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    vecs = vecs[:, order]
-    rank = int(np.sum(evals > DEFAULT_POLICY.support_tol))
-    if rank > 2:
-        raise SupportTooLarge(rank, float(evals[2]))
-    return vecs[:, :2]
-
-
 def solve_two_dim_support(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> ReductionOutcome:
-    """Solve states sharing a two-dimensional support via the qubit case.
+    """Optimal measurement for states sharing a two-dimensional support.
 
-    The qubit projectors are lifted back with the isometry onto the
-    support; the complement of the subspace is appended as a third,
-    zero-information outcome.  Positivity is automatic.  The compressed
-    2x2 states are validated at :data:`~mixest.policy.SUBSPACE_POLICY`.
+    The eigenspaces of the Bayesian SLD give at most two projectors
+    inside the support and, in dimension three or more, its complement as
+    a zero-probability outcome.  A larger support raises
+    :class:`SupportTooLarge`.
     """
     _check_problem(prior, rho1, rho2)
-    d = rho1.dim
-    v = joint_support(rho1, rho2)
-    sub1, sub2 = validate_states([v.conj().T @ rho1.matrix @ v, v.conj().T @ rho2.matrix @ v], SUBSPACE_POLICY)
-
-    degenerate = False
-    try:
-        sub_report = optimal_pvm(prior, sub1, sub2)
-        sub_effects = sub_report.povm.matrices()
-        alpha0 = sub_report.alpha0
-    except DegenerateProblem:
-        degenerate = True
-        sub_effects = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-        alpha0 = None
-
-    lifted = [v @ e @ v.conj().T for e in sub_effects]
-    complement = np.eye(d, dtype=complex) - v @ v.conj().T
-    if float(np.trace(complement).real) > DEFAULT_POLICY.support_tol:
-        lifted.append(complement)
-    povm = validate_povm(lifted)
-    score = q_functional(povm, prior, rho1, rho2)
-    report = EstimationReport(povm=povm, score=score, alpha0=alpha0, degenerate=degenerate)
+    rank = support_rank(rho1, rho2)
+    if rank > 2:
+        raise SupportTooLarge(rank, float(np.linalg.eigvalsh((rho1.matrix + rho2.matrix) / 2.0)[-3]))
     return ReductionOutcome(
         kind=ReductionKind.TWO_DIM_SUBSPACE,
-        certificate="qubit problem on the joint two-dimensional support, projectors lifted back",
-        report=report,
+        certificate="eigenspaces of the Bayesian SLD on the joint two-dimensional support",
+        report=_sld_report(prior, rho1, rho2),
     )
 
 

@@ -5,8 +5,8 @@ that every module interprets "equal", "positive" and "zero probability"
 the same way.  The library reads :data:`DEFAULT_POLICY`; only
 :func:`~mixest.states.validate_states` and
 :func:`~mixest.states.validate_povm` take a record, and the library passes
-them :data:`SUBSPACE_POLICY` where a matrix was rebuilt from a compressed
-or embedded form.
+them :data:`SUBSPACE_POLICY` for effects rebuilt from embedded plane
+coordinates.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class NumericPolicy:
     povm_sum_tol: float = 1e-9       # |sum E_m - I| entrywise
     bloch_norm_tol: float = 1e-10    # Bloch norm <= 1 + tol
     commute_tol: float = 1e-9        # max |[rho1, rho2]| for "commuting"
-    diag_tol: float = 1e-8           # off-diagonals after joint diagonalization
     support_tol: float = 1e-9        # eigenvalue threshold for support rank
     zero_prob: float = 1e-14         # outcome probability treated as "never occurs"
     degenerate_tol: float = 1e-12    # delta_r / prior variance below this is degenerate
@@ -33,8 +32,7 @@ class NumericPolicy:
 
 DEFAULT_POLICY = NumericPolicy()
 
-# Compressing two states onto their joint support, or rebuilding effects
-# from embedded plane coordinates, loses a few digits; the matrices built
-# that way are validated with these looser Hermiticity, trace and
-# positivity bounds.
-SUBSPACE_POLICY = replace(DEFAULT_POLICY, herm_tol=1e-9, trace_tol=1e-8, psd_tol=1e-9)
+# Rebuilding effects from embedded plane coordinates loses a few digits;
+# those effects are validated with these looser Hermiticity and positivity
+# bounds.
+SUBSPACE_POLICY = replace(DEFAULT_POLICY, herm_tol=1e-9, psd_tol=1e-9)

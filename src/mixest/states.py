@@ -8,7 +8,9 @@ from matrices that are valid by construction.  A list of same-shape
 matrices is validated as one stack, with one ``eigvalsh`` call for all of
 them; the first offending matrix raises the error it would raise on its
 own.  Qubit Bloch coordinates are read from the matrix entries, which
-equals the Pauli traces exactly.
+equals the Pauli traces exactly.  Two states are compared here only by
+:func:`commutator_norm`; the measurement for commuting states is built in
+:mod:`mixest.bayes` from the eigenspaces of the Bayesian SLD.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .errors import (
     DimensionMismatch,
     EffectBoundExceeded,
     InvalidPovm,
-    NotCommuting,
     NotHermitian,
     NotPSD,
     NotUnitTrace,
@@ -282,55 +283,6 @@ def _compose_stack(vecs: np.ndarray, weight: float) -> np.ndarray:
     return out
 
 
-def _phase_fix(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Make the first significant component of each column real positive."""
-    out = np.array(vectors, dtype=complex)
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = np.argmax(np.abs(col) > tol)
-        pivot = col[idx]
-        if abs(pivot) > tol:
-            out[:, k] = col * (pivot.conjugate() / abs(pivot))
-    return out
-
-
 def commutator_norm(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     c = rho1.matrix @ rho2.matrix - rho2.matrix @ rho1.matrix
     return float(np.max(np.abs(c)))
-
-
-def common_eigenbasis(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
-    """Orthonormal basis (columns) diagonalizing two commuting states.
-
-    Degenerate eigenspaces of ``rho1`` are resolved by diagonalizing
-    ``rho2`` inside them.  Raises :class:`NotCommuting` (carrying the
-    commutator norm) when the states do not commute within tolerance.
-    """
-    if rho1.dim != rho2.dim:
-        raise DimensionMismatch(f"dims {rho1.dim} vs {rho2.dim}")
-    cnorm = commutator_norm(rho1, rho2)
-    if cnorm >= DEFAULT_POLICY.commute_tol:
-        raise NotCommuting(cnorm)
-
-    evals, vecs = np.linalg.eigh(rho1.matrix)
-    # resolve clusters of equal rho1 eigenvalues using rho2
-    cluster_tol = 10 * DEFAULT_POLICY.diag_tol
-    start = 0
-    while start < len(evals):
-        stop = start + 1
-        while stop < len(evals) and evals[stop] - evals[stop - 1] < cluster_tol:
-            stop += 1
-        if stop - start > 1:
-            block = vecs[:, start:stop]
-            sub = block.conj().T @ rho2.matrix @ block
-            _, w = np.linalg.eigh((sub + sub.conj().T) / 2)
-            vecs[:, start:stop] = block @ w
-        start = stop
-    vecs = _phase_fix(vecs)
-
-    for rho in (rho1, rho2):
-        diag = vecs.conj().T @ rho.matrix @ vecs
-        off = float(np.max(np.abs(diag - np.diag(np.diag(diag)))))
-        if off > DEFAULT_POLICY.diag_tol:
-            raise NotCommuting(cnorm)
-    return vecs

@@ -10,7 +10,9 @@ numbers.  It also keeps the planar score in its angle form
 (:func:`planar_q`), the uniform-prior score written symmetrically in the
 two states (:func:`q_permutation_form`) and the pinching of a POVM onto a
 basis (:func:`pinch_to_basis`), which leaves the score of commuting states
-unchanged.
+unchanged.  The common eigenbasis of two commuting states
+(:func:`common_eigenbasis`) and the Bayesian SLD bound (:func:`sld_q`) are
+the references for the library's SLD eigenspace solver.
 """
 
 from __future__ import annotations
@@ -20,11 +22,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mixest.bayes import UNIFORM, Prior, _traces
-from mixest.errors import EstimationError, InvalidPovm, WrongDimension
+from mixest.bayes import UNIFORM, Prior, _traces, effective_states
+from mixest.errors import DimensionMismatch, EstimationError, InvalidPovm, NotCommuting, WrongDimension
 from mixest.policy import DEFAULT_POLICY
 from mixest.qubit import PlanarGeometry, planar_geometry
-from mixest.states import DensityMatrix, Effect, Povm, _pauli_coords, as_povm, bloch_compose, validate_povm
+from mixest.states import (
+    DensityMatrix,
+    Effect,
+    Povm,
+    _pauli_coords,
+    as_povm,
+    bloch_compose,
+    commutator_norm,
+    validate_povm,
+)
+
+# off-diagonal entries allowed after the joint diagonalisation
+DIAG_TOL = 1e-8
 
 
 class AlreadyPure(EstimationError):
@@ -214,3 +228,67 @@ def pinch_to_basis(povm: Povm, basis: np.ndarray) -> Povm:
         diag = np.real(np.diag(basis.conj().T @ e.matrix @ basis))
         effects.append(basis @ np.diag(diag.astype(complex)) @ basis.conj().T)
     return validate_povm(effects)
+
+
+def sld_q(prior, rho1, rho2):
+    """Bayesian SLD bound q* (Personick 1971): no POVM scores above it.
+
+    Solves rho_b L + L rho_b = 2 mean rho_a on the support of rho_b, in the
+    eigenbasis of rho_b, and returns tr(mean rho_a L).
+    """
+    rho_a, rho_b = effective_states(prior, rho1, rho2)
+    e, v = np.linalg.eigh(rho_b.matrix)
+    c = prior.mean * (v.conj().T @ rho_a.matrix @ v)
+    den = e[:, None] + e[None, :]
+    support = den > 1e-12
+    sld = np.where(support, 2.0 * c / np.where(support, den, 1.0), 0.0)
+    return float(np.trace(c @ sld).real)
+
+
+def _phase_fix(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Make the first significant component of each column real positive."""
+    out = np.array(vectors, dtype=complex)
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        idx = np.argmax(np.abs(col) > tol)
+        pivot = col[idx]
+        if abs(pivot) > tol:
+            out[:, k] = col * (pivot.conjugate() / abs(pivot))
+    return out
+
+
+def common_eigenbasis(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
+    """Orthonormal basis (columns) diagonalizing two commuting states.
+
+    Degenerate eigenspaces of ``rho1`` are resolved by diagonalizing
+    ``rho2`` inside them.  Raises :class:`NotCommuting` (carrying the
+    commutator norm) when the states do not commute within tolerance.
+    """
+    if rho1.dim != rho2.dim:
+        raise DimensionMismatch(f"dims {rho1.dim} vs {rho2.dim}")
+    cnorm = commutator_norm(rho1, rho2)
+    if cnorm >= DEFAULT_POLICY.commute_tol:
+        raise NotCommuting(cnorm)
+
+    evals, vecs = np.linalg.eigh(rho1.matrix)
+    # resolve clusters of equal rho1 eigenvalues using rho2
+    cluster_tol = 10 * DIAG_TOL
+    start = 0
+    while start < len(evals):
+        stop = start + 1
+        while stop < len(evals) and evals[stop] - evals[stop - 1] < cluster_tol:
+            stop += 1
+        if stop - start > 1:
+            block = vecs[:, start:stop]
+            sub = block.conj().T @ rho2.matrix @ block
+            _, w = np.linalg.eigh((sub + sub.conj().T) / 2)
+            vecs[:, start:stop] = block @ w
+        start = stop
+    vecs = _phase_fix(vecs)
+
+    for rho in (rho1, rho2):
+        diag = vecs.conj().T @ rho.matrix @ vecs
+        off = float(np.max(np.abs(diag - np.diag(np.diag(diag)))))
+        if off > DIAG_TOL:
+            raise NotCommuting(cnorm)
+    return vecs

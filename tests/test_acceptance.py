@@ -28,10 +28,16 @@ from mixest.states import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    common_eigenbasis,
     validate_state,
 )
-from planar_oracle import pinch_to_basis, projected_to_povm, q_permutation_form, reduce_to_plane, split_effect
+from planar_oracle import (
+    common_eigenbasis,
+    pinch_to_basis,
+    projected_to_povm,
+    q_permutation_form,
+    reduce_to_plane,
+    split_effect,
+)
 
 UNIFORM = Prior.uniform()
 Z0 = validate_state(np.diag([1.0, 0.0]))

@@ -81,6 +81,14 @@ class TestSolve:
             off = effect - np.diag(np.diag(effect))
             assert np.max(np.abs(off)) < 1e-9
 
+    def test_near_commuting_pair_exits_zero(self, tmp_path, capsys):
+        # the commutator (3.2e-10) passes the commuting check, and the answer
+        # comes from the SLD eigenspaces, not from a joint diagonalisation
+        rho1, rho2 = tilted_noise_pair(np.random.default_rng(4), 4, 5e-8, weight=0.01)
+        problem = problem_file(tmp_path, rho1, rho2)
+        assert main(["solve", "--problem", problem]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "commuting"
+
     def test_unreduced_exit_three(self, tmp_path, capsys):
         rng = np.random.default_rng(42)
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

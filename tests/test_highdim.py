@@ -29,8 +29,8 @@ from mixest.randutil import (
     random_density,
     random_povm,
 )
-from mixest.states import common_eigenbasis, validate_state
-from planar_oracle import pinch_to_basis
+from mixest.states import validate_state
+from planar_oracle import common_eigenbasis, pinch_to_basis, sld_q
 
 UNIFORM = Prior.uniform()
 
@@ -185,6 +185,8 @@ class TestSolveCommuting:
         ]
         coarse = q_functional(merged, UNIFORM, rho1, rho2).q_value
         assert coarse == pytest.approx(fine, abs=1e-12)
+        # the solver merges the tied outcomes itself
+        assert len(out.report.povm) == 2
 
 
 class TestTwoDimSupport:
@@ -461,6 +463,10 @@ class TestSolveEntryPoint:
             out = solve(PRIORS[prior], rho1, rho2)
             assert out.kind in EXPECTED_KINDS[family]
             assert_same_outcome(out, route(PRIORS[prior], rho1, rho2))
+            if family in ("commuting", "rank2_support"):
+                # the SLD eigenspaces: the exact optimum, one outcome per distinct estimate
+                assert out.report.score.q_value == pytest.approx(sld_q(PRIORS[prior], rho1, rho2), abs=1e-12)
+                assert len(out.report.povm) == len(np.unique(np.round(out.report.estimates, 9)))
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     def test_pure_with_noise_comes_before_commuting(self, dim, rng):
@@ -476,6 +482,35 @@ class TestSolveEntryPoint:
     def test_rejects_mismatched_dimensions(self, rng):
         with pytest.raises(DimensionMismatch):
             solve(UNIFORM, random_density(rng, 2), random_density(rng, 3))
+
+
+def near_commuting_pair(dim, eps, weight):
+    """A pure state mixed into white noise at ``weight``, against noise tilted by ``eps``.
+
+    The tilt is eps h, h = |psi><chi| + h.c. made traceless, so the
+    commutator is of order weight * eps and can pass the commuting check
+    while a joint diagonalisation still sees off-diagonal entries.
+    """
+    rng = np.random.default_rng(dim)
+    psi, chi = haar_vector(rng, dim), haar_vector(rng, dim)
+    h = np.outer(psi, chi.conj())
+    h = h + h.conj().T
+    h -= np.trace(h).real / dim * np.eye(dim)
+    noise = np.eye(dim) / dim
+    rho1 = weight * np.outer(psi, psi.conj()) + (1.0 - weight) * noise
+    return validate_state(rho1), validate_state(noise + eps * h)
+
+
+class TestNearCommuting:
+    @pytest.mark.parametrize("weight", [0.003, 0.01, 0.03])
+    @pytest.mark.parametrize("eps", [2e-8, 5e-8, 1e-7])
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_solves_to_the_sld_bound(self, dim, eps, weight):
+        rho1, rho2 = near_commuting_pair(dim, eps, weight)
+        for prior in PRIORS.values():
+            out = solve(prior, rho1, rho2)
+            assert out.kind in (ReductionKind.COMMUTING, ReductionKind.EMBEDDED)
+            assert out.report.score.q_value == pytest.approx(sld_q(prior, rho1, rho2), abs=1e-12)
 
 
 class TestPointMassPrior:

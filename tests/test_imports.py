@@ -55,8 +55,9 @@ def test_only_the_validators_take_a_policy():
 
 def test_library_does_not_import_the_test_oracle():
     # the planar reduction is a test reference, and the operator-basis layer,
-    # the second entry points, the Bloch wrapper and the unreachable checks
-    # are gone; the library scores with q_functional only
+    # the second entry points, the Bloch wrapper, the unreachable checks and
+    # the joint diagonalisation behind the commuting route are gone; the
+    # library scores with q_functional only
     import dataclasses
 
     import mixest
@@ -68,6 +69,7 @@ def test_library_does_not_import_the_test_oracle():
     removed += ("OperatorBasis", "gell_mann_basis", "basis_compose", "basis_decompose")
     removed += ("posterior_moments", "validate_effect", "BlochVector", "decoherence_state")
     removed += ("ZeroMeanPrior", "RateOutOfRange")
+    removed += ("common_eigenbasis", "joint_support", "_phase_fix")
     modules = _library_modules()
     for name in removed:
         assert not any(hasattr(module, name) for module in modules), name
@@ -76,6 +78,7 @@ def test_library_does_not_import_the_test_oracle():
         DecayEstimation: ("model",),
         mixest.DensityMatrix: ("purity",),
         mixest.Prior: ("sample",),
+        mixest.NumericPolicy: ("diag_tol",),
     }
     for cls, attrs in gone.items():
         fields = {f.name for f in dataclasses.fields(cls)}
@@ -91,7 +94,7 @@ def test_public_surface_is_pinned():
         "AngleSolution", "DEFAULT_POLICY", "DecoherenceModel", "DensityMatrix", "Effect",
         "EstimationError", "EstimationReport", "MeasurementScore", "NumericPolicy", "PlanarGeometry",
         "PosteriorMoments", "Povm", "Prior", "ReductionKind", "ReductionOutcome", "SimulationSummary",
-        "TrialRecord", "aligned_basis", "bloch_compose", "bloch_decompose", "common_eigenbasis",
+        "TrialRecord", "aligned_basis", "bloch_compose", "bloch_decompose",
         "effective_states", "embed_and_check", "entanglement_demo", "optimal_alpha", "optimal_pvm",
         "planar_geometry", "ppt_threshold", "q_functional", "run_simulation", "solve", "solve_commuting",
         "solve_decay_estimation", "solve_pure_plus_noise", "solve_two_dim_support", "support_rank",

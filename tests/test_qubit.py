@@ -30,6 +30,7 @@ from planar_oracle import (
     planar_to_povm,
     projected_to_povm,
     reduce_to_plane,
+    sld_q,
     split_effect,
 )
 
@@ -94,21 +95,6 @@ def random_planar_batch(rng, count):
         weights.append(w[ok])
         angles.append(a[ok])
     return np.concatenate(weights)[:count], np.concatenate(angles)[:count]
-
-
-def sld_q(prior, rho1, rho2):
-    """Bayesian SLD bound q* (Personick 1971): no POVM scores above it.
-
-    Solves rho_b L + L rho_b = 2 mean rho_a on the support of rho_b, in the
-    eigenbasis of rho_b, and returns tr(mean rho_a L).
-    """
-    rho_a, rho_b = effective_states(prior, rho1, rho2)
-    e, v = np.linalg.eigh(rho_b.matrix)
-    c = prior.mean * (v.conj().T @ rho_a.matrix @ v)
-    den = e[:, None] + e[None, :]
-    support = den > 1e-12
-    sld = np.where(support, 2.0 * c / np.where(support, den, 1.0), 0.0)
-    return float(np.trace(c @ sld).real)
 
 
 class TestGeometry:

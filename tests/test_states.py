@@ -28,12 +28,11 @@ from mixest.states import (
     _checked,
     bloch_compose,
     bloch_decompose,
-    common_eigenbasis,
     validate_povm,
     validate_state,
     validate_states,
 )
-from planar_oracle import effect_bloch
+from planar_oracle import common_eigenbasis, effect_bloch
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
