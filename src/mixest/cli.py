@@ -18,11 +18,16 @@ be read or written, a negative seed for ``solve --explore`` or
 trial count too large to allocate), 3 when no reduction yields a valid
 measurement.
 stdout carries data only; diagnostics go to stderr.
+
+``solve`` and ``decoherence`` print their record as one line of compact
+JSON (``json.dumps`` without an indent, which runs CPython's C encoder);
+pipe it through ``python3 -m json.tool`` to pretty-print it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -197,7 +202,7 @@ def cmd_solve(args) -> int:
             best = max(best, q_functional(povm, prior, rho1, rho2).q_value)
         result["explore_best_random_q"] = best
         result["explore_count"] = explore
-    _write_text(args.out, json.dumps(result, indent=2) + "\n")
+    _write_text(args.out, json.dumps(result) + "\n")
     if outcome.report is None:
         raise UnsolvedCase(outcome.certificate)
     return 0
@@ -271,17 +276,10 @@ def cmd_decoherence(args) -> int:
             "prior_second_moment": decay.prior.second_moment,
             "t_bmax": model.t_bmax,
             "b_plugin_estimates": list(decay.b_estimates),
-            "simulation": {
-                "seed": summary.seed,
-                "n_trials": summary.n_trials,
-                "empirical_mse": summary.empirical_mse,
-                "analytic_mean_variance": summary.analytic_mean_variance,
-                "std_error": summary.std_error,
-                "consistent": summary.consistent,
-            },
+            "simulation": dataclasses.asdict(summary),
         }
     )
-    _write_text(None, json.dumps(result, indent=2) + "\n")
+    _write_text(None, json.dumps(result) + "\n")
     if args.out is not None:
         _write_text(args.out, _summary_csv(summary))
     return 0

@@ -91,7 +91,10 @@ def solve(
     docstring.  A pure state against white noise is tested before the
     commuting route, which would also apply (white noise commutes with
     everything); the subspace test builds the same two projectors
-    straight from the pure state.
+    straight from the pure state.  Each guard is measured once: the
+    commutator norm and support rank that pick a route are not measured
+    again by the route, as they are by :func:`solve_commuting` and
+    :func:`solve_two_dim_support` called on their own.
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"states have different dimensions {rho1.dim} vs {rho2.dim}")
@@ -104,13 +107,16 @@ def solve(
             certificate="closed-form optimal angle of the qubit problem",
             report=optimal_pvm(prior, rho1, rho2),
         )
+    # the commuting and support routes below skip their public functions' checks
+    reject_degenerate_prior(prior)
     psi = _pure_state_against_noise(rho1, rho2)
     if psi is not None:
         return solve_pure_plus_noise(prior, psi, d)
-    if commutator_norm(rho1, rho2) < DEFAULT_POLICY.commute_tol:
-        return solve_commuting(prior, rho1, rho2)
+    cnorm = commutator_norm(rho1, rho2)
+    if cnorm < DEFAULT_POLICY.commute_tol:
+        return _commuting_outcome(prior, rho1, rho2, cnorm)
     if support_rank(rho1, rho2) <= 2:
-        return solve_two_dim_support(prior, rho1, rho2)
+        return _two_dim_support_outcome(prior, rho1, rho2)
     return embed_and_check(prior, rho1, rho2)
 
 
@@ -141,6 +147,13 @@ def solve_commuting(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> R
     cnorm = commutator_norm(rho1, rho2)
     if cnorm >= DEFAULT_POLICY.commute_tol:
         raise NotCommuting(cnorm)
+    return _commuting_outcome(prior, rho1, rho2, cnorm)
+
+
+def _commuting_outcome(
+    prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix, cnorm: float
+) -> ReductionOutcome:
+    """The commuting route once its guard has measured commutator norm ``cnorm``."""
     return ReductionOutcome(
         kind=ReductionKind.COMMUTING,
         certificate=f"common eigenbasis of commuting states (commutator norm {cnorm:.2e})",
@@ -166,6 +179,11 @@ def solve_two_dim_support(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix
     rank = support_rank(rho1, rho2)
     if rank > 2:
         raise SupportTooLarge(rank, float(np.linalg.eigvalsh((rho1.matrix + rho2.matrix) / 2.0)[-3]))
+    return _two_dim_support_outcome(prior, rho1, rho2)
+
+
+def _two_dim_support_outcome(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> ReductionOutcome:
+    """The two-dimensional-support route once its guard has found support rank <= 2."""
     return ReductionOutcome(
         kind=ReductionKind.TWO_DIM_SUBSPACE,
         certificate="eigenspaces of the Bayesian SLD on the joint two-dimensional support",

@@ -87,11 +87,12 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class SimulationSummary:
+    # field order: the key order of decoherence's "simulation" record, as in the CSV
+    seed: int
     n_trials: int
     empirical_mse: float
     analytic_mean_variance: float
     std_error: float
-    seed: int
     consistent: bool  # |empirical - analytic| <= 4 standard errors
 
 

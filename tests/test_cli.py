@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from mixest.bayes import Prior
+from mixest.bayes import Prior, q_functional
 from mixest.cli import build_parser, load_problem, main, matrix_from_json, matrix_to_json
 from mixest.highdim import solve
-from mixest.randutil import haar_vector, random_commuting_pair, random_density
-from mixest.states import PAULIS
+from mixest.randutil import haar_vector, random_commuting_pair, random_density, random_povm
+from mixest.simulate import DecoherenceModel, run_simulation, solve_decay_estimation
+from mixest.states import PAULIS, validate_state
 
 
 def write_json(path, obj):
@@ -589,3 +590,127 @@ class TestOutputMatchesPerEffectFormulas:
         monkeypatch.setattr("mixest.qubit._pauli_coords", _trace_coords)
         assert run() == stacked
         assert stacked[0][0][0] == 0
+
+
+def matrix_record(m):
+    m = np.asarray(m, dtype=complex)
+    return {"dim": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def report_record(kind, report):
+    """The documented record of a scored measurement, built from the library's report."""
+    record = {
+        "kind": kind,
+        "positivity_ok": True,
+        "degenerate": report.degenerate,
+        "q_value": report.score.q_value,
+        "mean_variance": report.score.mean_variance,
+        "outcomes": [
+            {
+                "effect": matrix_record(e.matrix),
+                "prob": o.prob,
+                "estimate": o.estimate,
+                "variance": o.variance,
+                "never_occurs": o.never_occurs,
+            }
+            for e, o in zip(report.povm, report.score.per_outcome, strict=True)
+        ],
+    }
+    if report.alpha0 is not None:
+        record["alpha0"] = report.alpha0
+    return record
+
+
+def solve_record(problem, explore=0, seed=0):
+    rho1, rho2, prior, _ = load_problem(problem)
+    outcome = solve(prior, rho1, rho2)
+    if outcome.report is None:
+        record = {
+            "kind": outcome.kind.value,
+            "positivity_ok": False,
+            "certificate": outcome.certificate,
+            "min_eigenvalue": outcome.min_eigenvalue,
+            "candidate_effects": [matrix_record(m) for m in outcome.candidate_effects],
+            "reduced_q": outcome.reduced_q,
+        }
+    else:
+        record = report_record(outcome.kind.value, outcome.report) | {"certificate": outcome.certificate}
+    if explore:
+        rng = np.random.default_rng(seed)
+        povms = [random_povm(rng, rho1.dim, n_effects=min(rho1.dim + 2, 6)) for _ in range(explore)]
+        record["explore_best_random_q"] = max(q_functional(p, prior, rho1, rho2).q_value for p in povms)
+        record["explore_count"] = explore
+    return record
+
+
+def assert_compact_record(text, expected):
+    """One line of compact JSON holding ``expected`` with its key order and every float exact."""
+    record = json.loads(text)
+    assert text == json.dumps(record) + "\n"
+    assert record == expected
+    assert text == json.dumps(expected) + "\n"
+
+
+def _pure(psi):
+    return np.outer(psi, psi.conj())
+
+
+SOLVE_CASES = {
+    "qubit": lambda rng: (random_density(rng, 2).matrix, random_density(rng, 2).matrix),
+    "commuting": lambda rng: tuple(rho.matrix for rho in random_commuting_pair(rng, 4)),
+    "pure_with_noise": lambda rng: (_pure(haar_vector(rng, 5)), np.eye(5) / 5),
+    "two_dim_subspace": lambda rng: (_pure(haar_vector(rng, 4)), _pure(haar_vector(rng, 4))),
+    "unreduced": lambda rng: (random_density(rng, 3).matrix, random_density(rng, 3).matrix),
+}
+
+
+class TestOutputContract:
+    # solve and decoherence print one line of compact JSON; the record
+    # holds the library's answer float for float
+    @pytest.mark.parametrize("kind", sorted(SOLVE_CASES))
+    def test_solve_prints_the_library_record(self, tmp_path, capsys, kind):
+        rho1, rho2 = SOLVE_CASES[kind](np.random.default_rng(11))
+        problem = problem_file(tmp_path, rho1, rho2, {"kind": "trunc_reciprocal", "t_bmax": 1.3})
+        assert main(["solve", "--problem", problem]) == (3 if kind == "unreduced" else 0)
+        expected = solve_record(problem)
+        assert expected["kind"] == kind
+        assert_compact_record(capsys.readouterr().out, expected)
+
+    def test_solve_explore(self, tmp_path, capsys):
+        rho1, rho2 = SOLVE_CASES["commuting"](np.random.default_rng(12))
+        problem = problem_file(tmp_path, rho1, rho2)
+        assert main(["solve", "--problem", problem, "--explore", "7", "--seed", "5"]) == 0
+        assert_compact_record(capsys.readouterr().out, solve_record(problem, explore=7, seed=5))
+
+    def test_solve_out_file(self, tmp_path, capsys):
+        rho1, rho2 = SOLVE_CASES["two_dim_subspace"](np.random.default_rng(13))
+        problem = problem_file(tmp_path, rho1, rho2)
+        out = tmp_path / "record.json"
+        assert main(["solve", "--problem", problem, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert_compact_record(out.read_text(encoding="utf-8"), solve_record(problem))
+
+    def test_decoherence(self, tmp_path, capsys):
+        argv = ["decoherence", "--s", "0.5", "--t", "1.0", "--bmax", "0.7", "--n-trials", "300", "--seed", "9"]
+        assert main(argv + ["--out", str(tmp_path / "summary.csv")]) == 0
+        model = DecoherenceModel(s=0.5, t=1.0, b_max=0.7, rho0=validate_state(np.diag([1.0, 0.0])))
+        decay = solve_decay_estimation(model)
+        summary = run_simulation(decay.report.povm, decay.prior, model.rho0, model.equilibrium, 300, 9)
+        expected = report_record("decoherence", decay.report)
+        expected.update(
+            {
+                "prior_mean": decay.prior.mean,
+                "prior_second_moment": decay.prior.second_moment,
+                "t_bmax": model.t_bmax,
+                "b_plugin_estimates": list(decay.b_estimates),
+                "simulation": {
+                    "seed": summary.seed,
+                    "n_trials": summary.n_trials,
+                    "empirical_mse": summary.empirical_mse,
+                    "analytic_mean_variance": summary.analytic_mean_variance,
+                    "std_error": summary.std_error,
+                    "consistent": summary.consistent,
+                },
+            }
+        )
+        assert_compact_record(capsys.readouterr().out, expected)
