@@ -40,8 +40,14 @@ from .errors import BadParameter, DimensionMismatch, EstimationError, ParseError
 from .highdim import solve
 from .qubit import PlanarGeometry, optimal_alpha
 from .randutil import random_povm
-from .simulate import DecoherenceModel, SimulationSummary, run_simulation, solve_decay_estimation
-from .states import Povm, validate_povm, validate_state, validate_states
+from .simulate import (
+    DecoherenceModel,
+    SimulationSummary,
+    _simulation_columns,
+    run_simulation,
+    solve_decay_estimation,
+)
+from .states import Povm, _trusted_states, validate_povm, validate_state, validate_states
 
 
 def _fmt(x: float) -> str:
@@ -58,7 +64,7 @@ def matrix_from_json(obj) -> np.ndarray:
         dim = obj["dim"]
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad matrix object: {exc}") from exc
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise ParseError(f"matrix dim must be an integer, got {dim!r}")
@@ -78,7 +84,7 @@ def prior_from_json(obj) -> Prior:
             return Prior.truncated_reciprocal(float(obj["t_bmax"]))
         if kind == "table":
             return Prior.from_table(obj["lambda"], obj["density"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad prior parameters: {exc}") from exc
     raise ParseError(f"unknown prior kind {kind!r}")
 
@@ -165,6 +171,24 @@ def _summary_csv(summary: SimulationSummary) -> str:
     )
 
 
+def _trials_csv(lam: np.ndarray, outcome: np.ndarray, estimates: np.ndarray, errors: np.ndarray) -> str:
+    """The per-trial CSV of ``simulate --trials-out``, from the sampler's columns.
+
+    Each outcome's index and estimate are formatted once and shared by
+    every row with that outcome; the rest goes through one ``%`` pass,
+    whose ``%.17g`` prints the same digits as :func:`_fmt`.
+    """
+    n = len(lam)
+    by_outcome = [f"{m},{_fmt(x)}" for m, x in enumerate(estimates.tolist())]
+    fields = [None] * (4 * n)
+    fields[0::4] = range(n)
+    fields[1::4] = lam.tolist()
+    fields[2::4] = [by_outcome[m] for m in outcome.tolist()]
+    fields[3::4] = errors.tolist()
+    rows = ("%d,%.17g,%s,%.17g\n" * n) % tuple(fields)
+    return "trial,true_lambda,outcome_index,estimate,squared_error\n" + rows
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -217,17 +241,10 @@ def cmd_simulate(args) -> int:
         povm = outcome.report.povm
     else:
         povm = load_povm(args.povm)
-    want_records = args.trials_out is not None
-    result = run_simulation(povm, prior, rho1, rho2, args.n_trials, args.seed, return_records=want_records)
-    summary, records = result if want_records else (result, [])
+    summary, columns = _simulation_columns(povm, prior, rho1, rho2, args.n_trials, args.seed)
     _write_text(args.out, _summary_csv(summary))
     if args.trials_out is not None:
-        lines = ["trial,true_lambda,outcome_index,estimate,squared_error"]
-        lines += [
-            f"{i},{_fmt(r.true_lambda)},{r.outcome_index},{_fmt(r.estimate)},{_fmt(r.squared_error)}"
-            for i, r in enumerate(records)
-        ]
-        _write_text(args.trials_out, "\n".join(lines) + "\n")
+        _write_text(args.trials_out, _trials_csv(*columns))
     if not summary.consistent:
         print(
             f"warning: empirical MSE {summary.empirical_mse:.6g} deviates from analytic "
@@ -263,7 +280,7 @@ def cmd_decoherence(args) -> int:
     if args.rho0 is not None:
         rho0 = validate_state(matrix_from_json(_load_json(args.rho0)))
     else:
-        rho0 = validate_state(np.diag([1.0, 0.0]).astype(complex))
+        rho0 = _trusted_states([np.diag([1.0, 0.0])])[0]
     model = DecoherenceModel(s=args.s, t=args.t, b_max=args.bmax, rho0=rho0)
     decay = solve_decay_estimation(model, uniform_prior=args.uniform_prior)
     summary = run_simulation(

@@ -185,21 +185,14 @@ def _sample_trials(
     return lam, outcome
 
 
-def run_simulation(
-    povm,
-    prior: Prior,
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    n_trials: int,
-    seed: int,
-    return_records: bool = False,
-):
-    """Draw states and outcomes; compare empirical MSE to the analytic value.
+def _simulation_columns(
+    povm, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix, n_trials: int, seed: int
+) -> tuple[SimulationSummary, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The summary and the per-trial columns ``(lam, outcome, estimates, errors)``.
 
-    Per trial: draw ``lam`` from the prior, draw an outcome from
-    ``tr[E_m rho_lam]``, record the Bayes estimate of that outcome and its
-    squared error.  Returns a :class:`SimulationSummary`, plus the list of
-    :class:`TrialRecord` when ``return_records`` is set.
+    ``estimates`` holds one Bayes estimate per outcome, so trial ``i``
+    estimated ``estimates[outcome[i]]``; the other columns hold one entry
+    per trial.
     """
     povm = as_povm(povm)
     score = q_functional(povm, prior, rho1, rho2)
@@ -221,6 +214,28 @@ def run_simulation(
         seed=int(seed) & _MASK64,
         consistent=abs(mse - score.mean_variance) <= 4.0 * std_error,
     )
+    return summary, (lam, outcome, estimates, errors)
+
+
+def run_simulation(
+    povm,
+    prior: Prior,
+    rho1: DensityMatrix,
+    rho2: DensityMatrix,
+    n_trials: int,
+    seed: int,
+    return_records: bool = False,
+):
+    """Draw states and outcomes; compare empirical MSE to the analytic value.
+
+    Per trial: draw ``lam`` from the prior, draw an outcome from
+    ``tr[E_m rho_lam]``, record the Bayes estimate of that outcome and its
+    squared error.  Returns a :class:`SimulationSummary`, plus the list of
+    :class:`TrialRecord` when ``return_records`` is set.  The records and
+    the CLI's ``simulate --trials-out`` CSV come from the same per-trial
+    columns; the CLI writes them without building records.
+    """
+    summary, (lam, outcome, estimates, errors) = _simulation_columns(povm, prior, rho1, rho2, n_trials, seed)
     if not return_records:
         return summary
     columns = (lam, outcome, estimates[outcome], errors)

@@ -109,9 +109,10 @@ class DensityMatrix:
     for matrices that are valid by construction, through
     :func:`_trusted_states`: the prior-weighted mixtures of two validated
     states (:func:`~mixest.bayes.effective_states`), the exact pair
-    ``|psi><psi|``, ``I/d`` of a normalised vector, and the equilibrium
+    ``|psi><psi|``, ``I/d`` of a normalised vector, the equilibrium
     ``diag(s, 1 - s)``, ``s`` in [0, 1], of
-    :class:`~mixest.simulate.DecoherenceModel`.
+    :class:`~mixest.simulate.DecoherenceModel`, and the default excited
+    state ``diag(1, 0)`` of ``mixest decoherence``.
     """
 
     matrix: np.ndarray

@@ -278,6 +278,21 @@ class TestSimulate:
         assert first.read_bytes() == second.read_bytes()
         assert trials_a.read_bytes() == trials_b.read_bytes()
 
+    def test_trials_out_builds_no_records(self, tmp_path, monkeypatch):
+        def no_records(*args):
+            raise RuntimeError("a TrialRecord was built")
+
+        monkeypatch.setattr("mixest.simulate.TrialRecord", no_records)
+        problem = orthogonal_pure_problem(tmp_path)
+        trials = tmp_path / "trials.csv"
+        assert main(["simulate", "--problem", problem, "--n-trials", "50", "--trials-out", str(trials)]) == 0
+        assert len(trials.read_text().splitlines()) == 51
+        # the stub sits where run_simulation builds its records
+        rho1, rho2, prior, _ = load_problem(problem)
+        povm = solve(prior, rho1, rho2).report.povm
+        with pytest.raises(RuntimeError, match="TrialRecord"):
+            run_simulation(povm, prior, rho1, rho2, 50, 0, return_records=True)
+
     def test_invalid_povm_file_exit_two(self, tmp_path):
         problem = orthogonal_pure_problem(tmp_path)
         povm = write_json(
@@ -538,6 +553,39 @@ class TestLinAlgError:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: Eigenvalues did not converge\n"
+
+
+class TestOverflowingJsonInteger:
+    """A JSON integer too large for a float is an input error, wherever it enters."""
+
+    @pytest.mark.parametrize("entry", ["matrix", "t_bmax", "table_lambda", "povm_file", "prior_arg", "rho0"])
+    def test_exit_two_without_traceback(self, tmp_path, capsys, entry):
+        huge = 10**400
+        bad_matrix = matrix_json(np.diag([1.0, 0.0]))
+        bad_matrix["re"][0][0] = huge
+        ok = orthogonal_pure_problem(tmp_path)
+        priors = {"t_bmax": {"kind": "trunc_reciprocal", "t_bmax": huge},
+                  "table_lambda": {"kind": "table", "lambda": [0.0, huge], "density": [1.0, 1.0]}}
+        if entry == "matrix":
+            bad = write_json(tmp_path / "bad.json", {"rho1": bad_matrix, "rho2": matrix_json(np.diag([0.0, 1.0]))})
+            argv = ["solve", "--problem", bad]
+        elif entry in priors:
+            argv = ["solve", "--problem", problem_file(tmp_path, np.diag([1.0, 0.0]), np.eye(2) / 2,
+                                                       prior=priors[entry], name="bad.json")]
+        elif entry == "povm_file":
+            povm = write_json(tmp_path / "povm.json", {"effects": [bad_matrix, matrix_json(np.diag([0.0, 1.0]))]})
+            argv = ["simulate", "--problem", ok, "--povm", povm, "--n-trials", "10"]
+        elif entry == "prior_arg":
+            argv = ["solve", "--problem", ok, "--prior",
+                    json.dumps({"kind": "table", "lambda": [0.0, 1.0], "density": [1.0, huge]})]
+        else:
+            rho0 = write_json(tmp_path / "rho0.json", bad_matrix)
+            argv = ["decoherence", "--s", "0.1", "--t", "1", "--bmax", "1", "--rho0", rho0, "--n-trials", "10"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
 
 
 def _per_effect_traces(effects, states):

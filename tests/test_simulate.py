@@ -27,7 +27,7 @@ from mixest.simulate import (
     run_simulation,
     solve_decay_estimation,
 )
-from mixest.states import as_povm, validate_povm, validate_state
+from mixest.states import as_povm, validate_povm, validate_state, validate_states
 
 UNIFORM = Prior.uniform()
 Z0 = validate_state(np.diag([1.0, 0.0]))
@@ -409,22 +409,29 @@ class TestGoldenSampler:
         assert run_simulation(povm, prior, rho1, rho2, 53, 2**64 - 1, return_records=True) == expected
         assert entanglement_demo(SINGLET, n_trials=53, seed=-5).rows == demo.rows
 
-    @pytest.mark.parametrize("n_trials", [48, 400])  # integer lanes, numpy rounds
-    def test_trials_csv_bytes(self, tmp_path, n_trials):
+    @pytest.mark.parametrize("povm_source", ["file", "optimal"])
+    @pytest.mark.parametrize("n_trials", [1, 48, 400])  # std_error inf, integer lanes, numpy rounds
+    def test_trials_csv_bytes(self, tmp_path, n_trials, povm_source):
         povm, rho1, rho2 = golden_problem(6)
         effects = [matrix_to_json(e.matrix) for e in povm]
+        states = [matrix_to_json(rho1.matrix), matrix_to_json(rho2.matrix)]
         problem, povm_file = tmp_path / "problem.json", tmp_path / "povm.json"
         problem.write_text(json.dumps({
-            "rho1": matrix_to_json(rho1.matrix),
-            "rho2": matrix_to_json(rho2.matrix),
+            "rho1": states[0],
+            "rho2": states[1],
             "prior": {"kind": "trunc_reciprocal", "t_bmax": 5.0},
         }))
         povm_file.write_text(json.dumps({"effects": effects}))
         out, trials = tmp_path / "summary.csv", tmp_path / "trials.csv"
-        argv = ["simulate", "--problem", str(problem), "--povm", str(povm_file), "--n-trials",
+        povm_arg = str(povm_file) if povm_source == "file" else "optimal"
+        argv = ["simulate", "--problem", str(problem), "--povm", povm_arg, "--n-trials",
                 str(n_trials), "--seed", "-5", "--out", str(out), "--trials-out", str(trials)]
         assert main(argv) == 0
-        loaded = validate_povm([matrix_from_json(e) for e in effects])
+        if povm_source == "file":
+            loaded = validate_povm([matrix_from_json(e) for e in effects])
+        else:
+            loaded_states = validate_states([matrix_from_json(m) for m in states])
+            loaded = mixest.solve(Prior.truncated_reciprocal(5.0), *loaded_states).report.povm
         summary, records = reference_simulation(
             loaded, Prior.truncated_reciprocal(5.0), rho1, rho2, n_trials, -5
         )
