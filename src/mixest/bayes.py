@@ -333,29 +333,37 @@ def _weighted_states(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> 
     return _mixtures([w, prior.mean, wc], rho1, rho2)
 
 
-def _sld_report(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> EstimationReport:
-    """The projectors onto the eigenspaces of the Bayesian SLD, scored.
+def _sld(prior: Prior, states: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The Bayesian SLD of the stack (rho_a, rho_b, rho_c) and the optimum it gives.
 
     ``L`` solves ``rho_b L + L rho_b = 2 mean rho_a`` (Personick, IEEE
     Trans. Inf. Theory 17, 240, 1971).  In the eigenbasis ``(e, V)`` of
     rho_b it reads ``L_ij = 2 C_ij / (e_i + e_j)`` with
     ``C = V^H (mean rho_a) V``, and 0 where ``e_i + e_j <= support_tol``.
-    The PVM onto its eigenspaces reaches the optimum ``tr(mean rho_a L)``,
-    and each eigenvalue is the estimate of its outcome.  Eigenvalues that
-    lie within ``support_tol`` of their neighbour share one projector, so
-    the outcomes come in ascending-estimate order and merge only where
-    estimates tie, which leaves the score unchanged.
+    Returns ``(q_star, V, L)``, ``L`` in that basis: ``q_star = tr(C L)``
+    is the score no measurement exceeds, and the PVM of
+    :func:`_sld_povm` reaches it.
     """
-    states = _weighted_states(prior, rho1, rho2)
     e, v = np.linalg.eigh(states[1])
     c = prior.mean * (v.conj().T @ states[0] @ v)
     den = e[:, None] + e[None, :]
     support = den > DEFAULT_POLICY.support_tol
-    estimates, w = np.linalg.eigh(np.where(support, 2.0 * c / np.where(support, den, 1.0), 0.0))
+    sld = np.where(support, 2.0 * c / np.where(support, den, 1.0), 0.0)
+    return float(np.sum(c * sld.T).real), v, sld
+
+
+def _sld_povm(sld: tuple[float, np.ndarray, np.ndarray]) -> Povm:
+    """The projectors onto the eigenspaces of ``L``, from the result of :func:`_sld`.
+
+    Each eigenvalue of ``L`` is the estimate of its outcome.  Eigenvalues
+    that lie within ``support_tol`` of their neighbour share one
+    projector, so the outcomes come in ascending-estimate order and merge
+    only where estimates tie, which leaves the score unchanged.
+    """
+    _, v, l = sld
+    estimates, w = np.linalg.eigh(l)
     groups = np.split(v @ w, np.flatnonzero(np.diff(estimates) > DEFAULT_POLICY.support_tol) + 1, axis=1)
-    povm = validate_povm([u @ u.conj().T for u in groups])
-    degenerate = float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= DEFAULT_POLICY.degenerate_tol
-    return EstimationReport(povm=povm, score=_score(povm.matrices(), prior, states), degenerate=degenerate)
+    return validate_povm([u @ u.conj().T for u in groups])
 
 
 def q_functional(povm, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> MeasurementScore:

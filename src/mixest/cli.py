@@ -1,27 +1,29 @@
 """Command-line interface: solve, simulate, sweep-gamma, decoherence, selftest.
 
 ``solve`` and ``simulate --povm optimal`` take their measurement from
-:func:`mixest.solve`; the CLI only loads, formats and, for ``solve
---explore``, scores random POVMs as a baseline.
+:func:`mixest.solve`; the CLI only loads and formats.
 
 File formats
 ------------
 Matrix JSON: ``{"dim": d, "re": [[...]], "im": [[...]]}`` (row-major).
-Problem JSON: ``{"rho1": M, "rho2": M, "prior": P, "options": {...}}``.
+Problem JSON: ``{"rho1": M, "rho2": M, "prior": P, "options": {...}}``;
+no command reads ``options``.
 Prior JSON: ``{"kind": "uniform"}``, ``{"kind": "trunc_reciprocal",
 "t_bmax": x}`` or ``{"kind": "table", "lambda": [...], "density": [...]}``.
 POVM JSON: ``{"effects": [M, ...]}``.
 
 Exit codes: 0 on success, 2 on input errors (including files that cannot
-be read or written, a negative seed for ``solve --explore`` or
-``selftest``, a linear-algebra routine that fails on the input, and a
-trial count too large to allocate), 3 when no reduction yields a valid
-measurement.
+be read or written, a negative seed for ``selftest``, a linear-algebra
+routine that fails on the input, and a trial count too large to
+allocate), 3 when no reduction yields a valid measurement.
 stdout carries data only; diagnostics go to stderr.
 
 ``solve`` and ``decoherence`` print their record as one line of compact
 JSON (``json.dumps`` without an indent, which runs CPython's C encoder);
-pipe it through ``python3 -m json.tool`` to pretty-print it.
+pipe it through ``python3 -m json.tool`` to pretty-print it.  Both end
+with ``q_star``, the Bayesian-SLD optimum of the problem, and ``gap``,
+``q_star`` minus the score of the measurement printed; an unsolved
+``solve`` record ends with ``q_star`` alone.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ import sys
 
 import numpy as np
 
-from .bayes import EstimationReport, Prior, q_functional
+from .bayes import EstimationReport, Prior
 from .errors import BadParameter, DimensionMismatch, EstimationError, ParseError, UnsolvedCase
 from .highdim import solve
 from .qubit import PlanarGeometry, optimal_alpha
-from .randutil import random_povm
 from .simulate import (
     DecoherenceModel,
     SimulationSummary,
@@ -198,14 +199,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_solve(args) -> int:
-    rho1, rho2, prior, options = load_problem(args.problem, _prior_from_arg(args.prior))
-    explore = args.explore or options.get("explore", 0)
-    if isinstance(explore, bool) or not isinstance(explore, int):
-        raise ParseError(f"options.explore must be an integer, got {explore!r}")
-    if explore < 0:
-        raise BadParameter(f"explore must be non-negative, got {explore}")
-    if explore > 0 and args.seed < 0:
-        raise BadParameter(f"seed must be non-negative, got {args.seed}")
+    rho1, rho2, prior, _ = load_problem(args.problem, _prior_from_arg(args.prior))
     outcome = solve(prior, rho1, rho2)
     if outcome.report is None:
         result = {
@@ -215,17 +209,12 @@ def cmd_solve(args) -> int:
             "min_eigenvalue": outcome.min_eigenvalue,
             "candidate_effects": [matrix_to_json(m) for m in outcome.candidate_effects],
             "reduced_q": outcome.reduced_q,
+            "q_star": outcome.q_star,
         }
     else:
-        result = _report_json(outcome.kind.value, outcome.report, {"certificate": outcome.certificate})
-    if explore > 0:
-        rng = np.random.default_rng(args.seed)
-        best = -math.inf
-        for _ in range(explore):
-            povm = random_povm(rng, rho1.dim, n_effects=min(rho1.dim + 2, 6))
-            best = max(best, q_functional(povm, prior, rho1, rho2).q_value)
-        result["explore_best_random_q"] = best
-        result["explore_count"] = explore
+        gap = outcome.q_star - outcome.report.score.q_value
+        extra = {"certificate": outcome.certificate, "q_star": outcome.q_star, "gap": gap}
+        result = _report_json(outcome.kind.value, outcome.report, extra)
     _write_text(args.out, json.dumps(result) + "\n")
     if outcome.report is None:
         raise UnsolvedCase(outcome.certificate)
@@ -294,6 +283,8 @@ def cmd_decoherence(args) -> int:
             "t_bmax": model.t_bmax,
             "b_plugin_estimates": list(decay.b_estimates),
             "simulation": dataclasses.asdict(summary),
+            "q_star": decay.q_star,
+            "gap": decay.q_star - decay.report.score.q_value,
         }
     )
     _write_text(None, json.dumps(result) + "\n")
@@ -324,9 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="compute the optimal measurement for a problem file")
     p_solve.add_argument("--problem", required=True, help="problem JSON file")
     p_solve.add_argument("--prior", help="prior JSON string or file (overrides the problem file)")
-    p_solve.add_argument("--explore", type=int, default=0,
-                         help="score N random POVMs for comparison (exploratory, no claim)")
-    p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", help="write JSON here instead of stdout")
     p_solve.set_defaults(func=cmd_solve)
 

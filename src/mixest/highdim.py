@@ -1,15 +1,16 @@
 """Solver entry point for problems in any dimension d >= 2.
 
-:func:`solve` tries the routes in this order and returns the first that
+:func:`solve` builds the Bayesian SLD ``L`` of the problem once
+(:func:`~mixest.bayes._sld`) and reports its optimum ``q_star`` on every
+route.  It tries the routes in this order and returns the first that
 applies:
 
 * qubits -> the closed-form optimal PVM of :func:`optimal_pvm`,
-* a pure state mixed with white noise -> the two-outcome subspace test
-  on the pure state,
-* commuting states, then states supported on one two-dimensional
-  subspace -> the projectors onto the eigenspaces of the Bayesian SLD
-  (:func:`~mixest.bayes._sld_report`), the exact optimum in any
-  dimension; each route checks its own condition first,
+* a pure state mixed with white noise, then commuting states, then
+  states supported on one two-dimensional subspace -> the projectors
+  onto the eigenspaces of ``L``, the exact optimum in any dimension;
+  each route checks its own condition first, and they differ only in
+  ``kind`` and ``certificate``,
 * otherwise, embed the two states in a two-generator coordinate plane,
   solve the planar problem there, and rebuild a candidate two-outcome
   measurement.  The rebuilt effects need not be positive in dimension
@@ -22,6 +23,7 @@ Every solved route scores its measurement with the score of
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -31,7 +33,10 @@ import numpy as np
 from .bayes import (
     EstimationReport,
     Prior,
-    _sld_report,
+    _score,
+    _sld,
+    _sld_povm,
+    _weighted_states,
     q_functional,
     reject_degenerate_prior,
 )
@@ -44,7 +49,7 @@ from .errors import (
     WrongDimension,
     WrongShape,
 )
-from .policy import DEFAULT_POLICY, SUBSPACE_POLICY
+from .policy import DEFAULT_POLICY
 from .qubit import optimal_alpha, optimal_pvm, planar_geometry_from_coords
 from .states import (
     DensityMatrix,
@@ -70,6 +75,10 @@ class ReductionOutcome:
     A solved route carries its ``report``.  An unreduced outcome has no
     report: it keeps the raw candidate effects (they failed positivity)
     and ``reduced_q``, the planar optimum they were built from.
+    ``q_star`` is the Bayesian-SLD optimum of the problem: :func:`solve`
+    sets it on every route, as do the routes that build ``L``;
+    :func:`solve_pure_plus_noise` and :func:`embed_and_check` called on
+    their own leave it None.
     """
 
     kind: ReductionKind
@@ -78,6 +87,10 @@ class ReductionOutcome:
     reduced_q: float | None = None
     candidate_effects: tuple[np.ndarray, ...] | None = None
     min_eigenvalue: float | None = None
+    q_star: float | None = None
+
+
+_TWO_DIM_CERTIFICATE = "eigenspaces of the Bayesian SLD on the joint two-dimensional support"
 
 
 def solve(
@@ -90,11 +103,10 @@ def solve(
     Picks the first route that applies, in the order of the module
     docstring.  A pure state against white noise is tested before the
     commuting route, which would also apply (white noise commutes with
-    everything); the subspace test builds the same two projectors
-    straight from the pure state.  Each guard is measured once: the
-    commutator norm and support rank that pick a route are not measured
-    again by the route, as they are by :func:`solve_commuting` and
-    :func:`solve_two_dim_support` called on their own.
+    everything).  Each guard is measured once: the commutator norm and
+    support rank that pick a route are not measured again, as they are
+    by :func:`solve_commuting` and :func:`solve_two_dim_support` called on
+    their own.
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"states have different dimensions {rho1.dim} vs {rho2.dim}")
@@ -102,33 +114,47 @@ def solve(
     if d < 2:
         raise WrongDimension(f"states are {d}x{d} matrices; the problem needs dimension >= 2")
     if d == 2:
-        return ReductionOutcome(
-            kind=ReductionKind.QUBIT,
-            certificate="closed-form optimal angle of the qubit problem",
-            report=optimal_pvm(prior, rho1, rho2),
+        outcome = ReductionOutcome(
+            ReductionKind.QUBIT, "closed-form optimal angle of the qubit problem", optimal_pvm(prior, rho1, rho2)
         )
-    # the commuting and support routes below skip their public functions' checks
-    reject_degenerate_prior(prior)
-    psi = _pure_state_against_noise(rho1, rho2)
-    if psi is not None:
-        return solve_pure_plus_noise(prior, psi, d)
-    cnorm = commutator_norm(rho1, rho2)
-    if cnorm < DEFAULT_POLICY.commute_tol:
-        return _commuting_outcome(prior, rho1, rho2, cnorm)
-    if support_rank(rho1, rho2) <= 2:
-        return _two_dim_support_outcome(prior, rho1, rho2)
-    return embed_and_check(prior, rho1, rho2)
+    else:
+        # the routes below skip their public functions' checks
+        reject_degenerate_prior(prior)
+        if _pure_state_against_noise(rho1, rho2):
+            certificate = "subspace test on the pure state against white noise"
+            return _sld_outcome(ReductionKind.PURE_WITH_NOISE, certificate, prior, rho1, rho2)
+        cnorm = commutator_norm(rho1, rho2)
+        if cnorm < DEFAULT_POLICY.commute_tol:
+            return _sld_outcome(ReductionKind.COMMUTING, _commuting_certificate(cnorm), prior, rho1, rho2)
+        if support_rank(rho1, rho2) <= 2:
+            return _sld_outcome(ReductionKind.TWO_DIM_SUBSPACE, _TWO_DIM_CERTIFICATE, prior, rho1, rho2)
+        outcome = embed_and_check(prior, rho1, rho2)
+    # the qubit closed form and the embedding do not build L
+    return dataclasses.replace(outcome, q_star=_sld(prior, _weighted_states(prior, rho1, rho2))[0])
 
 
-def _pure_state_against_noise(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray | None:
-    """The pure state of rho1 when rho2 is white noise and rho1 is pure, else None."""
+def _pure_state_against_noise(rho1: DensityMatrix, rho2: DensityMatrix) -> bool:
+    """Whether rho2 is white noise and rho1 is pure."""
     d = rho1.dim
     if np.max(np.abs(rho2.matrix - np.eye(d) / d)) > 1e-10:
-        return None
-    evals, vecs = np.linalg.eigh(rho1.matrix)
-    if evals[-1] < 1.0 - 1e-10:
-        return None
-    return vecs[:, -1]
+        return False
+    return bool(np.linalg.eigvalsh(rho1.matrix)[-1] >= 1.0 - 1e-10)
+
+
+def _sld_outcome(
+    kind: ReductionKind, certificate: str, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix
+) -> ReductionOutcome:
+    """The route's answer: the eigenspaces of the Bayesian SLD, scored, with ``q_star``."""
+    states = _weighted_states(prior, rho1, rho2)
+    sld = _sld(prior, states)
+    povm = _sld_povm(sld)
+    degenerate = float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= DEFAULT_POLICY.degenerate_tol
+    report = EstimationReport(povm=povm, score=_score(povm.matrices(), prior, states), degenerate=degenerate)
+    return ReductionOutcome(kind, certificate, report, q_star=sld[0])
+
+
+def _commuting_certificate(cnorm: float) -> str:
+    return f"common eigenbasis of commuting states (commutator norm {cnorm:.2e})"
 
 
 def _check_problem(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> None:
@@ -147,18 +173,7 @@ def solve_commuting(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> R
     cnorm = commutator_norm(rho1, rho2)
     if cnorm >= DEFAULT_POLICY.commute_tol:
         raise NotCommuting(cnorm)
-    return _commuting_outcome(prior, rho1, rho2, cnorm)
-
-
-def _commuting_outcome(
-    prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix, cnorm: float
-) -> ReductionOutcome:
-    """The commuting route once its guard has measured commutator norm ``cnorm``."""
-    return ReductionOutcome(
-        kind=ReductionKind.COMMUTING,
-        certificate=f"common eigenbasis of commuting states (commutator norm {cnorm:.2e})",
-        report=_sld_report(prior, rho1, rho2),
-    )
+    return _sld_outcome(ReductionKind.COMMUTING, _commuting_certificate(cnorm), prior, rho1, rho2)
 
 
 def support_rank(rho1: DensityMatrix, rho2: DensityMatrix) -> int:
@@ -179,16 +194,7 @@ def solve_two_dim_support(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix
     rank = support_rank(rho1, rho2)
     if rank > 2:
         raise SupportTooLarge(rank, float(np.linalg.eigvalsh((rho1.matrix + rho2.matrix) / 2.0)[-3]))
-    return _two_dim_support_outcome(prior, rho1, rho2)
-
-
-def _two_dim_support_outcome(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> ReductionOutcome:
-    """The two-dimensional-support route once its guard has found support rank <= 2."""
-    return ReductionOutcome(
-        kind=ReductionKind.TWO_DIM_SUBSPACE,
-        certificate="eigenspaces of the Bayesian SLD on the joint two-dimensional support",
-        report=_sld_report(prior, rho1, rho2),
-    )
+    return _sld_outcome(ReductionKind.TWO_DIM_SUBSPACE, _TWO_DIM_CERTIFICATE, prior, rho1, rho2)
 
 
 def solve_pure_plus_noise(prior: Prior, psi: np.ndarray, dim: int | None = None) -> ReductionOutcome:
@@ -311,7 +317,9 @@ def embed_and_check(
     reconstruction along that direction, completed by its complement.
     Both signs of the direction are tried.  If neither candidate pair is
     positive the problem stays unreduced and no optimality is claimed.  A
-    positive pair is validated at :data:`~mixest.policy.SUBSPACE_POLICY`.
+    candidate effect is made exactly Hermitian before its complement is
+    taken, which leaves the bits of an exactly Hermitian one unchanged, so
+    the pair passes :func:`validate_povm` at the default tolerances.
 
     Only the plane (G_1, G_2) of :func:`_aligned_plane` enters; the full
     :func:`aligned_basis` is never built.  If a state is not rebuilt from
@@ -346,11 +354,9 @@ def embed_and_check(
     candidates = []
     for v in (u, -u):
         first = (np.eye(d) + math.sqrt(d * d - d) * (v[0] * g1 + v[1] * g2)) / d
+        first = (first + first.conj().T) / 2
         second = np.eye(d) - first
-        min_eig = min(
-            float(np.linalg.eigvalsh((first + first.conj().T) / 2).min()),
-            float(np.linalg.eigvalsh((second + second.conj().T) / 2).min()),
-        )
+        min_eig = min(float(np.linalg.eigvalsh(first)[0]), float(np.linalg.eigvalsh(second)[0]))
         candidates.append((first, second, min_eig))
 
     feasible = [c for c in candidates if c[2] >= -DEFAULT_POLICY.psd_tol]
@@ -369,7 +375,7 @@ def embed_and_check(
 
     best = None
     for first, second, min_eig in feasible:
-        povm = validate_povm([first, second], SUBSPACE_POLICY)
+        povm = validate_povm([first, second])
         score = q_functional(povm, prior, rho1, rho2)
         if best is None or score.q_value > best[1].q_value:
             best = (povm, score, min_eig)

@@ -2,16 +2,13 @@
 
 All validation and solver tolerances live in a single immutable record so
 that every module interprets "equal", "positive" and "zero probability"
-the same way.  The library reads :data:`DEFAULT_POLICY`; only
-:func:`~mixest.states.validate_states` and
-:func:`~mixest.states.validate_povm` take a record, and the library passes
-them :data:`SUBSPACE_POLICY` for effects rebuilt from embedded plane
-coordinates.
+the same way.  The library reads :data:`DEFAULT_POLICY`; no function
+takes a record of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -31,8 +28,3 @@ class NumericPolicy:
 
 
 DEFAULT_POLICY = NumericPolicy()
-
-# Rebuilding effects from embedded plane coordinates loses a few digits;
-# those effects are validated with these looser Hermiticity and positivity
-# bounds.
-SUBSPACE_POLICY = replace(DEFAULT_POLICY, herm_tol=1e-9, psd_tol=1e-9)

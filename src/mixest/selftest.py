@@ -2,9 +2,10 @@
 
 A condensed version of the test suite: each check prints one line and the
 run exits nonzero if anything fails.  The checks test answers: solved
-measurements against random POVMs, the closed-form qubit score against
-the score of the measurement it describes, and the sampler against its
-reference stream.  Useful as a smoke test on a fresh install.
+measurements against the Bayesian-SLD optimum ``q_star``, the
+closed-form qubit score against the score of the measurement it
+describes, and the sampler against its reference stream.  Useful as a
+smoke test on a fresh install.
 """
 
 from __future__ import annotations
@@ -66,21 +67,19 @@ def _rank_two_support_pair(rng, d):
     return validate_states(lift)
 
 
-def _check_solved_dominate(rng):
+def _check_solved_reach_q_star(rng):
+    pairs = [(random_density(rng, 2), random_density(rng, 2)) for _ in range(10)]
     for d in (3, 4):
-        pairs = (
+        pairs += [
             (random_pure(rng, d), validate_state(np.eye(d) / d)),
             random_commuting_pair(rng, d),
             _rank_two_support_pair(rng, d),
-        )
-        for prior in _PRIORS:
-            for rho1, rho2 in pairs:
-                out = solve(prior, rho1, rho2)
-                assert out.report is not None, out.certificate
-                best = out.report.score.q_value
-                for _ in range(10):
-                    povm = random_povm(rng, d, d + 1)
-                    assert q_functional(povm, prior, rho1, rho2).q_value <= best + 1e-9
+        ]
+    for prior in _PRIORS:
+        for rho1, rho2 in pairs:
+            out = solve(prior, rho1, rho2)
+            assert out.report is not None, out.certificate
+            assert abs(out.q_star - out.report.score.q_value) < 1e-9
 
 
 def _check_closed_form_score(rng):
@@ -91,17 +90,6 @@ def _check_closed_form_score(rng):
             report = optimal_pvm(prior, rho1, rho2)
             q = q_functional(report.povm, prior, rho1, rho2).q_value
             assert abs(q - optimal_alpha(report.geometry).q_max) < 1e-12
-
-
-def _check_optimal_dominates(rng):
-    prior = Prior.uniform()
-    for _ in range(10):
-        rho1 = random_density(rng, 2)
-        rho2 = random_density(rng, 2)
-        best = optimal_pvm(prior, rho1, rho2).score.q_value
-        for _ in range(50):
-            povm = random_povm(rng, 2, 4)
-            assert q_functional(povm, prior, rho1, rho2).q_value <= best + 1e-9
 
 
 def _check_sampler_moments(rng):
@@ -138,9 +126,8 @@ CHECKS: list[tuple[str, object]] = [
     ("bloch round trip", _check_bloch_round_trip),
     ("uniform q + mean variance = 1/3", _check_uniform_complementarity),
     ("splitting never lowers the score", _check_split_monotone),
-    ("solved d = 3, 4 answers dominate random POVMs", _check_solved_dominate),
+    ("solved d = 2, 3, 4 answers reach q_star", _check_solved_reach_q_star),
     ("optimal PVM scores the closed-form q_max", _check_closed_form_score),
-    ("optimal PVM dominates random POVMs", _check_optimal_dominates),
     ("decoherence sampler moments", _check_sampler_moments),
     ("two-qubit PPT threshold", _check_ppt_threshold),
     ("sampler stream equals numpy's Philox", _check_philox_stream),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import EstimationReport, Prior, _traces, q_functional
+from .bayes import EstimationReport, Prior, _sld, _traces, _weighted_states, q_functional
 from .errors import BadParameter, DegenerateProblem, WrongShape
 from .highdim import ReductionOutcome, solve_pure_plus_noise
 from .policy import DEFAULT_POLICY
@@ -248,12 +248,14 @@ class DecayEstimation:
 
     ``b_estimates`` maps the per-outcome Bayes estimates of the mixing
     parameter through ``B = -ln(lam) / t``; that plug-in transform is not
-    itself a Bayes estimator of the rate.
+    itself a Bayes estimator of the rate.  ``q_star`` is the
+    Bayesian-SLD optimum, which the qubit answer reaches.
     """
 
     prior: Prior
     report: EstimationReport
     b_estimates: tuple[float, ...]
+    q_star: float
 
 
 def solve_decay_estimation(model: DecoherenceModel, uniform_prior: bool = False) -> DecayEstimation:
@@ -272,7 +274,8 @@ def solve_decay_estimation(model: DecoherenceModel, uniform_prior: bool = False)
     b_estimates = tuple(
         -math.log(min(max(g, lo), 1.0)) / model.t for g in report.estimates
     )
-    return DecayEstimation(prior=prior, report=report, b_estimates=b_estimates)
+    q_star = _sld(prior, _weighted_states(prior, model.rho0, eq))[0]
+    return DecayEstimation(prior=prior, report=report, b_estimates=b_estimates, q_star=q_star)
 
 
 # --- two-qubit entanglement demo -------------------------------------------

@@ -31,7 +31,7 @@ from .errors import (
     VectorTooLong,
     WrongDimension,
 )
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -51,7 +51,7 @@ def _as_square_matrix(m) -> np.ndarray:
     return arr
 
 
-def _check_stack(stack: np.ndarray, policy: NumericPolicy, effect: bool) -> None:
+def _check_stack(stack: np.ndarray, effect: bool) -> None:
     """Raise the first failed check of the first offending matrix of a stack.
 
     ``stack`` has shape (n, d, d).  Each matrix runs the checks in this
@@ -69,19 +69,19 @@ def _check_stack(stack: np.ndarray, policy: NumericPolicy, effect: bool) -> None
     eigs = np.linalg.eigvalsh(half + half.conj().swapaxes(1, 2))
     lo, hi = eigs[:, 0].tolist(), eigs[:, -1].tolist()  # eigvalsh sorts ascending
     for dev_i, tr_i, lo_i, hi_i in zip(dev, tr, lo, hi):
-        if not dev_i <= policy.herm_tol:
+        if not dev_i <= DEFAULT_POLICY.herm_tol:
             raise NotHermitian(dev_i)
-        if not effect and not abs(tr_i - 1.0) <= policy.trace_tol:
+        if not effect and not abs(tr_i - 1.0) <= DEFAULT_POLICY.trace_tol:
             raise NotUnitTrace(tr_i)
-        if not lo_i >= -policy.psd_tol:
+        if not lo_i >= -DEFAULT_POLICY.psd_tol:
             raise NotPSD(lo_i)
-        if effect and not hi_i <= 1.0 + policy.effect_bound_tol:
+        if effect and not hi_i <= 1.0 + DEFAULT_POLICY.effect_bound_tol:
             raise EffectBoundExceeded(hi_i)
     if len(m) < len(stack):
         raise BadParameter("matrix has non-finite entries (nan or inf)")
 
 
-def _checked(matrices, policy: NumericPolicy, effect: bool):
+def _checked(matrices, effect: bool):
     """Validate matrices in input order; return them as read-only copies.
 
     Square matrices of one shape are checked as one stack; any other list
@@ -94,8 +94,8 @@ def _checked(matrices, policy: NumericPolicy, effect: bool):
     except (TypeError, ValueError):  # ragged or not numeric
         stack = None
     if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        return [_checked([_as_square_matrix(m)], policy, effect)[0] for m in matrices]
-    _check_stack(stack, policy, effect)
+        return [_checked([_as_square_matrix(m)], effect)[0] for m in matrices]
+    _check_stack(stack, effect)
     stack.setflags(write=False)
     return stack
 
@@ -153,13 +153,13 @@ class Povm:
         return [e.matrix for e in self.effects]
 
 
-def validate_states(matrices, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[DensityMatrix, ...]:
+def validate_states(matrices) -> tuple[DensityMatrix, ...]:
     """Validate matrices as density matrices, all in one pass.
 
     Raises the error of the first offending matrix, as :func:`validate_state`
     would for it.
     """
-    return tuple(map(DensityMatrix, _checked(matrices, policy, effect=False)))
+    return tuple(map(DensityMatrix, _checked(matrices, effect=False)))
 
 
 def _trusted_states(matrices) -> tuple[DensityMatrix, ...]:
@@ -190,15 +190,15 @@ def validate_state(m) -> DensityMatrix:
     return validate_states([m])[0]
 
 
-def validate_povm(matrices, policy: NumericPolicy = DEFAULT_POLICY) -> Povm:
+def validate_povm(matrices) -> Povm:
     """Validate a list of matrices as a POVM.
 
     Every element must be a valid effect, all checked in one pass, and the
-    sum must equal the identity entrywise within ``policy.povm_sum_tol``.
+    sum must equal the identity entrywise within ``povm_sum_tol``.
     Effects of mixed dimensions are each validated before the mismatch is
     reported.
     """
-    effects = tuple(map(Effect, _checked(matrices, policy, effect=True)))
+    effects = tuple(map(Effect, _checked(matrices, effect=True)))
     if not effects:
         raise InvalidPovm("a POVM needs at least one effect")
     dim = effects[0].dim
@@ -206,7 +206,7 @@ def validate_povm(matrices, policy: NumericPolicy = DEFAULT_POLICY) -> Povm:
         raise DimensionMismatch("POVM effects have mixed dimensions")
     total = sum(e.matrix for e in effects)
     dev = float(np.max(np.abs(total - np.eye(dim))))
-    if dev > policy.povm_sum_tol:
+    if dev > DEFAULT_POLICY.povm_sum_tol:
         raise InvalidPovm(f"effects do not sum to the identity: max deviation {dev:.3e}", dev)
     return Povm(effects)
 

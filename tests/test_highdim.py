@@ -24,7 +24,7 @@ from mixest.highdim import (
     support_rank,
 )
 from mixest.policy import DEFAULT_POLICY
-from mixest.qubit import optimal_pvm
+from mixest.qubit import optimal_alpha, optimal_pvm
 from mixest.randutil import (
     haar_vector,
     random_commuting_pair,
@@ -340,6 +340,26 @@ class TestEmbedding:
         with pytest.raises(DegenerateProblem):
             embed_and_check(UNIFORM, rho, rho)
 
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_skewed_state_gives_hermitian_effects(self, dim):
+        # rho1 carries an anti-Hermitian part that the state check accepts;
+        # rebuilt from plane coordinates, the effects would carry it scaled
+        # up, and the default Hermiticity check would refuse them
+        rng = np.random.default_rng(dim)
+        noise = validate_state(np.eye(dim) / dim)
+        for _ in range(10):
+            skew = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            skew -= skew.conj().T
+            skew -= np.trace(skew) / dim * np.eye(dim)
+            skew *= 4.5e-11 / np.abs(skew).max()
+            w = rng.uniform(0.01, 1.0)
+            psi = haar_vector(rng, dim)
+            rho1 = validate_state(w * np.outer(psi, psi.conj()) + (1.0 - w) * noise.matrix + skew)
+            out = embed_and_check(UNIFORM, rho1, noise)
+            assert out.kind is ReductionKind.EMBEDDED
+            for m in out.report.povm.matrices():
+                assert np.array_equal(m, m.conj().T)
+
 
 class TestAlignedBasis:
     @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -403,13 +423,12 @@ def _rank2_support_pair(rng, dim):
     return tuple(validate_state(q @ random_density(rng, 2).matrix @ q.conj().T) for _ in range(2))
 
 
-# family -> (pair maker, the route function solve must agree with)
+# family -> (pair maker, the route function whose answer solve must give);
+# a pure state against white noise commutes, and solve answers it with the
+# same eigenspaces of the Bayesian SLD as the commuting route
 FAMILIES = {
     "commuting": (random_commuting_pair, solve_commuting),
-    "pure_with_noise": (
-        _pure_noise_pair,
-        lambda prior, rho1, rho2: solve_pure_plus_noise(prior, np.linalg.eigh(rho1.matrix)[1][:, -1], rho1.dim),
-    ),
+    "pure_with_noise": (_pure_noise_pair, solve_commuting),
     "rank2_support": (_rank2_support_pair, solve_two_dim_support),
     "generic": (
         lambda rng, dim: (random_density(rng, dim), random_density(rng, dim)),
@@ -430,7 +449,6 @@ PRIORS = {
 
 
 def assert_same_outcome(got, want):
-    assert got.kind is want.kind
     assert got.reduced_q == want.reduced_q
     if want.report is None:
         assert got.report is None
@@ -454,6 +472,7 @@ class TestSolveEntryPoint:
             assert out.report.score.q_value == direct.score.q_value
             for a, b in zip(out.report.povm.matrices(), direct.povm.matrices(), strict=True):
                 assert np.array_equal(a, b)
+            assert out.q_star == pytest.approx(optimal_alpha(direct.geometry).q_max, abs=1e-12)
 
     @pytest.mark.parametrize("prior", PRIORS)
     @pytest.mark.parametrize("family", FAMILIES)
@@ -465,10 +484,15 @@ class TestSolveEntryPoint:
             out = solve(PRIORS[prior], rho1, rho2)
             assert out.kind in EXPECTED_KINDS[family]
             assert_same_outcome(out, route(PRIORS[prior], rho1, rho2))
-            if family in ("commuting", "rank2_support"):
+            q_star = sld_q(PRIORS[prior], rho1, rho2)
+            assert out.q_star == pytest.approx(q_star, abs=1e-12)
+            if family != "generic":
                 # the SLD eigenspaces: the exact optimum, one outcome per distinct estimate
-                assert out.report.score.q_value == pytest.approx(sld_q(PRIORS[prior], rho1, rho2), abs=1e-12)
+                assert out.report.score.q_value == pytest.approx(q_star, abs=1e-12)
                 assert len(out.report.povm) == len(np.unique(np.round(out.report.estimates, 9)))
+            if family == "pure_with_noise":
+                # the subspace test {I - P, P}, in ascending-estimate order
+                assert [np.linalg.matrix_rank(m) for m in out.report.povm.matrices()] == [dim - 1, 1]
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     def test_pure_with_noise_comes_before_commuting(self, dim, rng):

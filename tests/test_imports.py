@@ -35,9 +35,8 @@ def test_import_does_not_load_numpy_random():
     )
 
 
-def test_only_the_validators_take_a_policy():
-    # the library reads its tolerances from DEFAULT_POLICY; a per-call
-    # tolerance record stays on the two validators that need a second one
+def test_no_public_function_takes_a_policy():
+    # the library reads its tolerances from DEFAULT_POLICY only
     takes = set()
     for module in _library_modules():
         for name, obj in vars(module).items():
@@ -50,7 +49,18 @@ def test_only_the_validators_take_a_policy():
                 continue
             if "policy" in params:
                 takes.add(f"{obj.__module__}.{obj.__qualname__}")
-    assert takes == {"mixest.states.validate_states", "mixest.states.validate_povm"}
+    assert takes == set()
+
+
+def test_cli_does_not_import_randutil():
+    # the CLI draws no random inputs; selftest does, and it loads randutil
+    # only when it runs
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run(
+        [sys.executable, "-c", "import mixest.cli, sys; assert 'mixest.randutil' not in sys.modules"],
+        env=env,
+        check=True,
+    )
 
 
 def test_library_does_not_import_the_test_oracle():
@@ -70,6 +80,7 @@ def test_library_does_not_import_the_test_oracle():
     removed += ("posterior_moments", "validate_effect", "BlochVector", "decoherence_state")
     removed += ("ZeroMeanPrior", "RateOutOfRange")
     removed += ("common_eigenbasis", "joint_support", "_phase_fix")
+    removed += ("SUBSPACE_POLICY", "_sld_report", "_commuting_outcome", "_two_dim_support_outcome")
     modules = _library_modules()
     for name in removed:
         assert not any(hasattr(module, name) for module in modules), name

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mixest.bayes import EstimationReport, Prior, effective_states, q_functional
 from mixest.errors import DegenerateProblem, InvalidPovm, SingularDenominator
-from mixest.policy import DEFAULT_POLICY
 from mixest.qubit import PlanarGeometry, optimal_alpha, optimal_pvm, planar_geometry
 from mixest.randutil import random_density, random_povm, random_pure
 from mixest.states import (
@@ -338,7 +337,7 @@ class TestReduceToPlane:
 
 def checked_effect(m):
     """One matrix validated as a POVM effect, as ``validate_povm`` checks each of its effects."""
-    return Effect(_checked([m], DEFAULT_POLICY, effect=True)[0])
+    return Effect(_checked([m], effect=True)[0])
 
 
 class TestSplitEffect:

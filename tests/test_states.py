@@ -40,7 +40,7 @@ Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 def check_effect(m):
     """Validate one matrix as a POVM effect, the check ``validate_povm`` runs on each of its effects."""
-    return _checked([m], DEFAULT_POLICY, effect=True)[0]
+    return _checked([m], effect=True)[0]
 
 
 class TestValidateState:
