@@ -275,7 +275,7 @@ def effective_states(
     """
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dims {rho1.dim} vs {rho2.dim}")
-    return _trusted_states(_mixtures([prior.second_moment / prior.mean, prior.mean], rho1, rho2))
+    return _trusted_states(_weighted_states(prior, rho1, rho2)[:2])
 
 
 def _traces(effects, states) -> np.ndarray:
@@ -306,31 +306,20 @@ def _moments_against(prior: Prior, ta: float, tb: float, tc: float) -> Posterior
     return PosteriorMoments(tb, estimate, second, max(variance, 0.0))
 
 
-def _scored(effects, prior: Prior, states: np.ndarray) -> tuple[PosteriorMoments, ...]:
-    """Posterior moments of every effect against the stack (rho_a, rho_b, rho_c)."""
-    ta, tb, tc = _traces(effects, states).tolist()
-    return tuple(_moments_against(prior, a, b, c) for a, b, c in zip(ta, tb, tc))
-
-
 def _score(effects, prior: Prior, states: np.ndarray) -> MeasurementScore:
     """Score of the effects against the stack (rho_a, rho_b, rho_c) of :func:`_weighted_states`."""
-    per = _scored(effects, prior, states)
+    ta, tb, tc = _traces(effects, states).tolist()
+    per = tuple(_moments_against(prior, a, b, c) for a, b, c in zip(ta, tb, tc))
     # (mean * tr[E rho_a])^2 / tr[E rho_b] == prob * estimate^2
     q = sum(o.prob * o.estimate**2 for o in per if not o.never_occurs)
     return MeasurementScore(q_value=q, mean_variance=prior.second_moment - q, per_outcome=per)
 
 
-def _mixtures(weights, rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
-    """Stack of ``w rho1 + (1 - w) rho2``, one matrix per weight, in one broadcast."""
-    w = np.array(weights)[:, None, None]
-    return w * rho1.matrix + (1.0 - w) * rho2.matrix
-
-
 def _weighted_states(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
-    """Raw matrices of the three prior-weighted mixtures rho_a, rho_b, rho_c."""
-    w = prior.second_moment / prior.mean
-    wc = prior.third_moment / prior.second_moment
-    return _mixtures([w, prior.mean, wc], rho1, rho2)
+    """Raw matrices of the three prior-weighted mixtures rho_a, rho_b, rho_c, in one broadcast."""
+    m = prior.second_moment
+    w = np.array([m / prior.mean, prior.mean, prior.third_moment / m])[:, None, None]
+    return w * rho1.matrix + (1.0 - w) * rho2.matrix
 
 
 def _sld(prior: Prior, states: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

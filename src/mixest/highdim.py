@@ -76,9 +76,8 @@ class ReductionOutcome:
     report: it keeps the raw candidate effects (they failed positivity)
     and ``reduced_q``, the planar optimum they were built from.
     ``q_star`` is the Bayesian-SLD optimum of the problem: :func:`solve`
-    sets it on every route, as do the routes that build ``L``;
-    :func:`solve_pure_plus_noise` and :func:`embed_and_check` called on
-    their own leave it None.
+    sets it on every route, as do the routes that build ``L``; only
+    :func:`embed_and_check` called on its own leaves it None.
     """
 
     kind: ReductionKind
@@ -91,6 +90,7 @@ class ReductionOutcome:
 
 
 _TWO_DIM_CERTIFICATE = "eigenspaces of the Bayesian SLD on the joint two-dimensional support"
+_PURE_CERTIFICATE = "subspace test on the pure state against white noise"
 
 
 def solve(
@@ -121,8 +121,7 @@ def solve(
         # the routes below skip their public functions' checks
         reject_degenerate_prior(prior)
         if _pure_state_against_noise(rho1, rho2):
-            certificate = "subspace test on the pure state against white noise"
-            return _sld_outcome(ReductionKind.PURE_WITH_NOISE, certificate, prior, rho1, rho2)
+            return _sld_outcome(ReductionKind.PURE_WITH_NOISE, _PURE_CERTIFICATE, prior, rho1, rho2)
         cnorm = commutator_norm(rho1, rho2)
         if cnorm < DEFAULT_POLICY.commute_tol:
             return _sld_outcome(ReductionKind.COMMUTING, _commuting_certificate(cnorm), prior, rho1, rho2)
@@ -200,8 +199,11 @@ def solve_two_dim_support(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix
 def solve_pure_plus_noise(prior: Prior, psi: np.ndarray, dim: int | None = None) -> ReductionOutcome:
     """Optimal measurement for a pure state mixed with white noise.
 
-    The answer is the two-outcome subspace test {P, I - P} with P the
-    projector on the pure state, for any prior.
+    Returns the answer :func:`solve` gives for ``(|psi><psi|, I/d)`` in
+    dimension three or more: the eigenspaces of the Bayesian SLD, which
+    form the subspace test ``{I - P, P}`` with ``P`` the projector on the
+    pure state, in ascending-estimate order, scored and with ``q_star``,
+    for any prior.  A qubit vector gets the same eigenspaces.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if dim is not None and len(psi) != dim:
@@ -214,17 +216,8 @@ def solve_pure_plus_noise(prior: Prior, psi: np.ndarray, dim: int | None = None)
         raise WrongShape("state vector must be nonzero")
     psi = psi / norm
     reject_degenerate_prior(prior)
-
-    projector = np.outer(psi, psi.conj())
-    rho1, rho2 = _trusted_states([projector, np.eye(d, dtype=complex) / d])
-    povm = validate_povm([projector, np.eye(d, dtype=complex) - projector])
-    score = q_functional(povm, prior, rho1, rho2)
-    report = EstimationReport(povm=povm, score=score, alpha0=0.0)
-    return ReductionOutcome(
-        kind=ReductionKind.PURE_WITH_NOISE,
-        certificate="subspace test on the pure state against white noise",
-        report=report,
-    )
+    rho1, rho2 = _trusted_states([np.outer(psi, psi.conj()), np.eye(d, dtype=complex) / d])
+    return _sld_outcome(ReductionKind.PURE_WITH_NOISE, _PURE_CERTIFICATE, prior, rho1, rho2)
 
 
 def aligned_basis(rho1: DensityMatrix, rho2: DensityMatrix) -> tuple[np.ndarray, ...]:

@@ -37,16 +37,6 @@ def _check_bloch_round_trip(rng):
         assert np.max(np.abs(back - v)) < 1e-12
 
 
-def _check_uniform_complementarity(rng):
-    prior = Prior.uniform()
-    for _ in range(50):
-        rho1 = random_density(rng, 2)
-        rho2 = random_density(rng, 2)
-        povm = random_povm(rng, 2, 4)
-        score = q_functional(povm, prior, rho1, rho2)
-        assert abs(score.q_value + score.mean_variance - 1.0 / 3.0) < 1e-10
-
-
 def _check_split_monotone(rng):
     for d in (2, 3, 4):
         for k in range(21):
@@ -124,7 +114,6 @@ def _check_philox_stream(rng):
 
 CHECKS: list[tuple[str, object]] = [
     ("bloch round trip", _check_bloch_round_trip),
-    ("uniform q + mean variance = 1/3", _check_uniform_complementarity),
     ("splitting never lowers the score", _check_split_monotone),
     ("solved d = 2, 3, 4 answers reach q_star", _check_solved_reach_q_star),
     ("optimal PVM scores the closed-form q_max", _check_closed_form_score),

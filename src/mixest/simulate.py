@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import EstimationReport, Prior, _sld, _traces, _weighted_states, q_functional
+from .bayes import EstimationReport, Prior, _traces, q_functional, reject_degenerate_prior
 from .errors import BadParameter, DegenerateProblem, WrongShape
-from .highdim import ReductionOutcome, solve_pure_plus_noise
+from .highdim import _PURE_CERTIFICATE, ReductionKind, ReductionOutcome, solve
 from .policy import DEFAULT_POLICY
-from .qubit import optimal_pvm
-from .states import DensityMatrix, Povm, _trusted_states, as_povm
+from .states import DensityMatrix, Povm, _trusted_states, as_povm, validate_povm
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 65536  # trials per vectorised block; bounds the sampler's memory
@@ -198,12 +197,7 @@ def _simulation_columns(
     score = q_functional(povm, prior, rho1, rho2)
     lam, outcome = _sample_trials(prior, povm, rho1, rho2, n_trials, seed)
     estimates = np.array([o.estimate for o in score.per_outcome])
-    errors = np.empty(n_trials)
-    for start in range(0, n_trials, _CHUNK):
-        block = slice(start, start + _CHUNK)
-        # Python's float power, one per trial and a block at a time: numpy's
-        # square and power round differently in the last bit
-        errors[block] = [d**2 for d in (lam[block] - estimates[outcome[block]]).tolist()]
+    errors = np.square(lam - estimates[outcome])
     mse = float(errors.mean())
     std_error = float(errors.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else float("inf")
     summary = SimulationSummary(
@@ -262,20 +256,21 @@ def solve_decay_estimation(model: DecoherenceModel, uniform_prior: bool = False)
     """Optimal single-copy measurement of the decay rate.
 
     A uniformly distributed rate induces a reciprocal prior on the mixing
-    parameter; the general-prior qubit solver does the rest.  Passing
+    parameter; :func:`~mixest.highdim.solve` does the rest, with the
+    closed-form qubit answer and its ``q_star``.  Passing
     ``uniform_prior=True`` overrides the induced prior with the flat one.
     """
     eq = model.equilibrium
     if float(np.max(np.abs(model.rho0.matrix - eq.matrix))) <= DEFAULT_POLICY.degenerate_tol:
         raise DegenerateProblem("initial state equals the equilibrium state; decay is invisible")
     prior = Prior.uniform() if uniform_prior else Prior.truncated_reciprocal(model.t_bmax)
-    report = optimal_pvm(prior, model.rho0, eq)
+    outcome = solve(prior, model.rho0, eq)
+    report = outcome.report
     lo = math.exp(-model.t_bmax)
     b_estimates = tuple(
         -math.log(min(max(g, lo), 1.0)) / model.t for g in report.estimates
     )
-    q_star = _sld(prior, _weighted_states(prior, model.rho0, eq))[0]
-    return DecayEstimation(prior=prior, report=report, b_estimates=b_estimates, q_star=q_star)
+    return DecayEstimation(prior=prior, report=report, b_estimates=b_estimates, q_star=outcome.q_star)
 
 
 # --- two-qubit entanglement demo -------------------------------------------
@@ -303,9 +298,9 @@ def min_ppt_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2).min())
 
 
-def is_entangled(m: np.ndarray, tol: float = _PPT_TOL) -> bool:
+def is_entangled(m: np.ndarray) -> bool:
     """Partial-transpose test; exact for two qubits."""
-    return min_ppt_eigenvalue(m) < -tol
+    return min_ppt_eigenvalue(m) < -_PPT_TOL
 
 
 def noisy_state(psi: np.ndarray, lam: float) -> np.ndarray:
@@ -371,18 +366,25 @@ def entanglement_demo(
 ) -> EntanglementDemo:
     """Estimate the noise weight of a two-qubit state, then test separability.
 
-    Per trial the mixing parameter is estimated from a single simulated
-    measurement and the partial-transpose verdict is evaluated both at the
-    estimate and at the true value; the witness expectation is reported
-    alongside for comparison.  One copy never decides entanglement
-    unambiguously, so the rows carry no confidence statement.
+    The measurement is the paper's subspace test ``{P, I - P}``, ``P`` the
+    projector on ``psi``: the optimum for a pure state against white noise
+    under any prior.  It is built here directly, which is cheaper than the
+    Bayesian-SLD route of :func:`~mixest.highdim.solve_pure_plus_noise`;
+    the outcome carries no ``q_star``.  Per trial the mixing parameter is
+    estimated from a single simulated measurement and the
+    partial-transpose verdict is evaluated both at the estimate and at the
+    true value; the witness expectation is reported alongside for
+    comparison.  One copy never decides entanglement unambiguously, so the
+    rows carry no confidence statement.
     """
     psi = _two_qubit_vector(psi)
     prior = prior or Prior.uniform()
-    outcome = solve_pure_plus_noise(prior, psi, 4)
-    report = outcome.report
+    reject_degenerate_prior(prior)
     rho1, rho2 = _trusted_states([np.outer(psi, psi.conj()), np.eye(4, dtype=complex) / 4.0])
-    lam, index = _sample_trials(prior, report.povm, rho1, rho2, n_trials, seed)
+    povm = validate_povm([rho1.matrix, np.eye(4, dtype=complex) - rho1.matrix])
+    report = EstimationReport(povm=povm, score=q_functional(povm, prior, rho1, rho2))
+    outcome = ReductionOutcome(ReductionKind.PURE_WITH_NOISE, _PURE_CERTIFICATE, report)
+    lam, index = _sample_trials(prior, povm, rho1, rho2, n_trials, seed)
     est = np.array(report.estimates)[index]
 
     # closed forms at weight x: the smallest partial-transpose eigenvalue

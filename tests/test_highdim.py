@@ -500,6 +500,21 @@ class TestSolveEntryPoint:
         assert solve_commuting(UNIFORM, rho1, rho2).kind is ReductionKind.COMMUTING
         assert solve(UNIFORM, rho1, rho2).kind is ReductionKind.PURE_WITH_NOISE
 
+    @pytest.mark.parametrize("prior", PRIORS)
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_pure_route_function_answers_like_solve(self, dim, prior, rng):
+        for _ in range(3):
+            psi = haar_vector(rng, dim)
+            out = solve_pure_plus_noise(PRIORS[prior], psi, dim)
+            rho1, rho2 = embed_states(psi), validate_state(np.eye(dim) / dim)
+            want = solve(PRIORS[prior], rho1, rho2)
+            ranks = [np.linalg.matrix_rank(m) for m in out.report.povm.matrices()]
+            assert out.kind is want.kind is ReductionKind.PURE_WITH_NOISE
+            assert ranks == [np.linalg.matrix_rank(m) for m in want.report.povm.matrices()] == [dim - 1, 1]
+            assert out.q_star == pytest.approx(sld_q(PRIORS[prior], rho1, rho2), abs=1e-12)
+            assert out.q_star == pytest.approx(want.q_star, abs=1e-12)
+            assert out.report.score.q_value == pytest.approx(out.q_star, abs=1e-12)
+
     @pytest.mark.parametrize(
         ("family", "guard", "kind"),
         [

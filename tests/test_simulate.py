@@ -9,7 +9,6 @@ import mixest.simulate
 from mixest.bayes import Prior, q_functional
 from mixest.cli import main, matrix_from_json, matrix_to_json
 from mixest.errors import BadParameter, DegenerateProblem, WrongShape
-from mixest.highdim import solve_pure_plus_noise
 from mixest.qubit import optimal_pvm
 from mixest.randutil import random_density, random_povm
 from mixest.simulate import (
@@ -69,7 +68,8 @@ class TestRunSimulation:
         _, third = run_simulation(z_pvm(), UNIFORM, Z0, Z1, 500, seed=4, return_records=True)
         assert first != third
         for record in first[:50]:
-            assert record.squared_error == (record.true_lambda - record.estimate) ** 2
+            diff = record.true_lambda - record.estimate
+            assert record.squared_error == diff * diff
 
     def test_bayes_beats_midpoint_guess(self):
         summary, records = run_simulation(
@@ -300,7 +300,7 @@ def reference_simulation(povm, prior, rho1, rho2, n_trials, seed):
     records = []
     for lam, outcome in reference_trials(prior, povm, rho1, rho2, n_trials, seed):
         est = estimates[outcome]
-        records.append(TrialRecord(lam, outcome, est, (lam - est) ** 2))
+        records.append(TrialRecord(lam, outcome, est, (lam - est) * (lam - est)))
     errors = np.array([r.squared_error for r in records])
     mse = float(errors.mean())
     std_error = float(errors.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else float("inf")
@@ -331,12 +331,14 @@ def reference_ppt_threshold(psi, tol=1e-9):
 
 def reference_demo_rows(psi, prior, n_trials, seed):
     psi = np.asarray(psi, dtype=complex) / np.linalg.norm(psi)
-    report = solve_pure_plus_noise(prior, psi, 4).report
     rho1 = validate_state(np.outer(psi, psi.conj()))
     rho2 = validate_state(np.eye(4, dtype=complex) / 4.0)
+    # the paper's subspace test {P, I - P} on the pure state
+    povm = validate_povm([rho1.matrix, np.eye(4) - rho1.matrix])
+    estimates = [o.estimate for o in q_functional(povm, prior, rho1, rho2).per_outcome]
     rows = []
-    for lam, outcome in reference_trials(prior, report.povm, rho1, rho2, n_trials, seed):
-        est = report.estimates[outcome]
+    for lam, outcome in reference_trials(prior, povm, rho1, rho2, n_trials, seed):
+        est = estimates[outcome]
         state_est, state_true = noisy_state(psi, est), noisy_state(psi, lam)
         rows.append(
             DemoRow(
