@@ -38,7 +38,7 @@ from .errors import (
     NonPositiveParameter,
 )
 from .policy import DEFAULT_POLICY
-from .states import DensityMatrix, Povm, _trusted_states, as_povm, validate_povm
+from .states import DensityMatrix, Povm, _trusted_povm, _trusted_states, as_povm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .qubit import PlanarGeometry
@@ -56,14 +56,14 @@ _ROUNDING = 16 * sys.float_info.epsilon
 def _moment_check(mean: float, second: float) -> None:
     """Refuse moments that no distribution on [0, 1] has, up to rounding.
 
-    ``second <= mean`` keeps the weight ``second / mean`` of
-    :func:`effective_states` in [0, 1], so the mixture stays convex.
+    ``0 < second <= mean`` keeps the weights ``second / mean`` of
+    :func:`effective_states` in [0, 1] and ``third / second`` finite.
     """
     if not (0.0 < mean <= 1.0 + _ROUNDING):
         raise BadParameter(f"prior mean must lie in (0, 1], got {mean}")
-    if not (mean * mean * (1.0 - _ROUNDING) <= second <= mean * (1.0 + _ROUNDING)):
+    if not (0.0 < second and mean * mean * (1.0 - _ROUNDING) <= second <= mean * (1.0 + _ROUNDING)):
         raise BadParameter(
-            f"prior moments violate mean^2 <= second_moment <= mean: mean={mean}, second={second}"
+            f"prior moments violate 0 < mean^2 <= second_moment <= mean: mean={mean}, second={second}"
         )
 
 
@@ -352,7 +352,7 @@ def _sld_povm(sld: tuple[float, np.ndarray, np.ndarray]) -> Povm:
     _, v, l = sld
     estimates, w = np.linalg.eigh(l)
     groups = np.split(v @ w, np.flatnonzero(np.diff(estimates) > DEFAULT_POLICY.support_tol) + 1, axis=1)
-    return validate_povm([u @ u.conj().T for u in groups])
+    return _trusted_povm([u @ u.conj().T for u in groups])
 
 
 def q_functional(povm, prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> MeasurementScore:

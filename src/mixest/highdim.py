@@ -47,16 +47,10 @@ from .errors import (
     NotCommuting,
     SupportTooLarge,
     WrongDimension,
-    WrongShape,
 )
 from .policy import DEFAULT_POLICY
 from .qubit import optimal_alpha, optimal_pvm, planar_geometry_from_coords
-from .states import (
-    DensityMatrix,
-    _trusted_states,
-    commutator_norm,
-    validate_povm,
-)
+from .states import DensityMatrix, _trusted_povm, _trusted_states, _unit_vector, commutator_norm
 
 
 class ReductionKind(str, Enum):
@@ -205,16 +199,8 @@ def solve_pure_plus_noise(prior: Prior, psi: np.ndarray, dim: int | None = None)
     pure state, in ascending-estimate order, scored and with ``q_star``,
     for any prior.  A qubit vector gets the same eigenspaces.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if dim is not None and len(psi) != dim:
-        raise WrongShape(f"state vector has length {len(psi)}, expected {dim}")
+    psi = _unit_vector(psi, dim)
     d = len(psi)
-    if d < 2:
-        raise WrongShape("state vector must live in dimension >= 2")
-    norm = np.linalg.norm(psi)
-    if norm <= 0:
-        raise WrongShape("state vector must be nonzero")
-    psi = psi / norm
     reject_degenerate_prior(prior)
     rho1, rho2 = _trusted_states([np.outer(psi, psi.conj()), np.eye(d, dtype=complex) / d])
     return _sld_outcome(ReductionKind.PURE_WITH_NOISE, _PURE_CERTIFICATE, prior, rho1, rho2)
@@ -310,9 +296,9 @@ def embed_and_check(
     reconstruction along that direction, completed by its complement.
     Both signs of the direction are tried.  If neither candidate pair is
     positive the problem stays unreduced and no optimality is claimed.  A
-    candidate effect is made exactly Hermitian before its complement is
-    taken, which leaves the bits of an exactly Hermitian one unchanged, so
-    the pair passes :func:`validate_povm` at the default tolerances.
+    feasible pair is built unchecked; its first effect is made exactly
+    Hermitian before the complement is taken, so that the printed pair
+    passes ``validate_povm`` when ``simulate --povm FILE`` reads it back.
 
     Only the plane (G_1, G_2) of :func:`_aligned_plane` enters; the full
     :func:`aligned_basis` is never built.  If a state is not rebuilt from
@@ -368,7 +354,7 @@ def embed_and_check(
 
     best = None
     for first, second, min_eig in feasible:
-        povm = validate_povm([first, second])
+        povm = _trusted_povm([first, second])
         score = q_functional(povm, prior, rho1, rho2)
         if best is None or score.q_value > best[1].q_value:
             best = (povm, score, min_eig)

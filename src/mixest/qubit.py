@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import EstimationReport, Prior, _score, _weighted_states, reject_degenerate_prior
+from .bayes import EstimationReport, Prior, _score, _sld, _sld_povm, _weighted_states, reject_degenerate_prior
 from .errors import DegenerateProblem, SingularDenominator, WrongDimension
 from .policy import DEFAULT_POLICY
-from .states import DensityMatrix, Effect, Povm, _compose_stack, _pauli_coords, bloch_decompose
+from .states import DensityMatrix, _compose_stack, _pauli_coords, _trusted_povm, bloch_decompose
 
 
 @dataclass(frozen=True)
@@ -154,9 +154,12 @@ def optimal_pvm(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> Estim
         raise DegenerateProblem("rho1 = rho2: every measurement performs equally")
     states = _weighted_states(prior, rho1, rho2)  # rho_a, rho_b, rho_c
     geom = planar_geometry_from_coords(_pauli_coords(states[0]), _pauli_coords(states[1]), prior.mean**2)
+    if geom.r_b_norm >= 1.0:  # the pole of optimal_alpha, within validate_state's psd_tol slack
+        povm = _sld_povm(_sld(prior, states))
+        return EstimationReport(povm=povm, score=_score(povm.matrices(), prior, states), geometry=geom)
     sol = optimal_alpha(geom)
     direction = geom.direction(sol.alpha)
     effects = _compose_stack(np.array([direction, -direction]), 0.5)
-    povm = Povm(tuple(map(Effect, effects)))
+    povm = _trusted_povm(effects)
     score = _score(effects, prior, states)
     return EstimationReport(povm=povm, score=score, alpha0=sol.alpha, geometry=geom)

@@ -28,7 +28,7 @@ from .bayes import EstimationReport, Prior, _traces, q_functional, reject_degene
 from .errors import BadParameter, DegenerateProblem, WrongShape
 from .highdim import _PURE_CERTIFICATE, ReductionKind, ReductionOutcome, solve
 from .policy import DEFAULT_POLICY
-from .states import DensityMatrix, Povm, _trusted_states, as_povm, validate_povm
+from .states import DensityMatrix, Povm, _trusted_povm, _trusted_states, _unit_vector, as_povm
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 65536  # trials per vectorised block; bounds the sampler's memory
@@ -304,20 +304,8 @@ def is_entangled(m: np.ndarray) -> bool:
 
 
 def noisy_state(psi: np.ndarray, lam: float) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    psi = psi / np.linalg.norm(psi)
+    psi = _unit_vector(psi)
     return lam * np.outer(psi, psi.conj()) + (1.0 - lam) * np.eye(len(psi)) / len(psi)
-
-
-def _two_qubit_vector(psi) -> np.ndarray:
-    """``psi`` normalised, after checking it is a finite nonzero 4-vector."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if len(psi) != 4:
-        raise WrongShape(f"the entanglement demo works on two qubits, got a vector of length {len(psi)}")
-    norm = float(np.linalg.norm(psi))  # nan or inf if any entry is
-    if not (0.0 < norm < math.inf):
-        raise BadParameter(f"state vector must be finite and nonzero, its norm is {norm}")
-    return psi / norm
 
 
 def _schmidt_root(psi: np.ndarray) -> float:
@@ -337,7 +325,7 @@ def ppt_threshold(psi: np.ndarray) -> float | None:
     Schmidt weights of ``psi``, so the threshold is ``1 / (1 + 4 s)``.
     Returns None for a product state (``s < 1e-12``).
     """
-    s = _schmidt_root(_two_qubit_vector(psi))
+    s = _schmidt_root(_unit_vector(psi, 4))
     return None if s < 1e-12 else 1.0 / (1.0 + 4.0 * s)
 
 
@@ -377,11 +365,11 @@ def entanglement_demo(
     comparison.  One copy never decides entanglement unambiguously, so the
     rows carry no confidence statement.
     """
-    psi = _two_qubit_vector(psi)
+    psi = _unit_vector(psi, 4)
     prior = prior or Prior.uniform()
     reject_degenerate_prior(prior)
     rho1, rho2 = _trusted_states([np.outer(psi, psi.conj()), np.eye(4, dtype=complex) / 4.0])
-    povm = validate_povm([rho1.matrix, np.eye(4, dtype=complex) - rho1.matrix])
+    povm = _trusted_povm([rho1.matrix, np.eye(4, dtype=complex) - rho1.matrix])
     report = EstimationReport(povm=povm, score=q_functional(povm, prior, rho1, rho2))
     outcome = ReductionOutcome(ReductionKind.PURE_WITH_NOISE, _PURE_CERTIFICATE, report)
     lam, index = _sample_trials(prior, povm, rho1, rho2, n_trials, seed)

@@ -1,16 +1,16 @@
 """Density matrices, measurement effects and qubit Bloch coordinates.
 
 All types are immutable after construction (the wrapped arrays are made
-read-only), so they are safe to share across threads.  Validation happens
-at the boundary, in the ``validate_*`` constructors; the dataclasses
-themselves trust their inputs, and the library builds them unchecked only
-from matrices that are valid by construction.  A list of same-shape
-matrices is validated as one stack, with one ``eigvalsh`` call for all of
-them; the first offending matrix raises the error it would raise on its
-own.  Qubit Bloch coordinates are read from the matrix entries, which
-equals the Pauli traces exactly.  Two states are compared here only by
-:func:`commutator_norm`; the measurement for commuting states is built in
-:mod:`mixest.bayes` from the eigenspaces of the Bayesian SLD.
+read-only), so they are safe to share across threads.  Input is checked
+once, where it enters: matrices by the ``validate_*`` constructors, state
+vectors by :func:`_unit_vector`; what the library derives from it is
+built unchecked, by :func:`_trusted_states` and :func:`_trusted_povm`.
+A list of same-shape matrices is validated as one stack, with one
+``eigvalsh`` call for all of them; the first offending matrix raises the
+error it would raise on its own.  Qubit Bloch coordinates are read from
+the matrix entries, which equals the Pauli traces exactly.  Two states
+are compared here only by :func:`commutator_norm`; the measurements are
+built in :mod:`mixest.bayes` and by the solvers.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import (
     NotUnitTrace,
     VectorTooLong,
     WrongDimension,
+    WrongShape,
 )
 from .policy import DEFAULT_POLICY
 
@@ -105,14 +106,8 @@ class DensityMatrix:
     """A validated d x d density matrix (Hermitian, PSD, unit trace).
 
     Build one with :func:`validate_state` or :func:`validate_states`.  The
-    constructor itself checks nothing; the library calls it directly only
-    for matrices that are valid by construction, through
-    :func:`_trusted_states`: the prior-weighted mixtures of two validated
-    states (:func:`~mixest.bayes.effective_states`), the exact pair
-    ``|psi><psi|``, ``I/d`` of a normalised vector, the equilibrium
-    ``diag(s, 1 - s)``, ``s`` in [0, 1], of
-    :class:`~mixest.simulate.DecoherenceModel`, and the default excited
-    state ``diag(1, 0)`` of ``mixest decoherence``.
+    constructor itself checks nothing; the library builds the states it
+    derives through :func:`_trusted_states`.
     """
 
     matrix: np.ndarray
@@ -165,14 +160,45 @@ def validate_states(matrices) -> tuple[DensityMatrix, ...]:
 def _trusted_states(matrices) -> tuple[DensityMatrix, ...]:
     """Density matrices, unchecked, from a stack that is valid by construction.
 
-    Only for the callers named in :class:`DensityMatrix`: each matrix is a
-    convex mixture of validated states, an exact projector and ``I/d``, or
-    a diagonal of two weights in [0, 1] that sum to one, so a check could
-    only reject it within rounding of a tolerance edge.
+    Only for the prior-weighted mixtures of two validated states
+    (:func:`~mixest.bayes.effective_states`), the pair ``|psi><psi|``,
+    ``I/d`` of a unit vector, the equilibrium ``diag(s, 1 - s)``, ``s`` in
+    [0, 1], of :class:`~mixest.simulate.DecoherenceModel`, and the excited
+    state ``diag(1, 0)`` of ``mixest decoherence``: a check could only
+    reject one of them within rounding of a tolerance edge.
     """
     stack = np.array(matrices, dtype=complex)
     stack.setflags(write=False)
     return tuple(map(DensityMatrix, stack))
+
+
+def _trusted_povm(matrices) -> Povm:
+    """A POVM, unchecked, from a stack of effects that is valid by construction.
+
+    For every measurement the library builds: the SLD eigenspaces of one
+    ``eigh``, the test ``{P, I - P}`` of a unit vector, the qubit PVM and
+    the embedded pair whose smallest eigenvalues ``embed_and_check`` measured.
+    """
+    stack = np.array(matrices, dtype=complex)
+    stack.setflags(write=False)
+    return Povm(tuple(map(Effect, stack)))
+
+
+def _unit_vector(psi, length: int | None = None) -> np.ndarray:
+    """``psi / |psi|`` as a flat complex vector: the one check of a state vector.
+
+    Raises :class:`WrongShape` for a length below 2 or other than ``length``,
+    and :class:`BadParameter` unless ``0 < |psi| < inf``, which a nan or
+    infinite entry, or a norm that overflows, fails.
+    """
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if len(psi) < 2 or (length is not None and len(psi) != length):
+        raise WrongShape(f"state vector has length {len(psi)}, expected {length or 'at least 2'}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(psi))
+    if not 0.0 < norm < math.inf:
+        raise BadParameter(f"state vector must be finite and nonzero, its norm is {norm}")
+    return psi / norm
 
 
 def validate_state(m) -> DensityMatrix:

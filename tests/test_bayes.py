@@ -51,6 +51,14 @@ class TestPriors:
         with pytest.raises(BadParameter):
             Prior.point_mass(0.0)
 
+    def test_point_mass_refuses_an_underflowed_second_moment(self):
+        # lam**2 and mean * mean both underflow to 0 below about 1.5e-154
+        with pytest.raises(BadParameter, match="0 < mean"):
+            Prior.point_mass(1e-170)
+        p = Prior.point_mass(1e-150)
+        assert p.second_moment == pytest.approx(1e-300, rel=1e-12)
+        assert q_functional([np.eye(2)], p, Z0, Z1).q_value == pytest.approx(1e-300, rel=1e-12)
+
     def test_truncated_reciprocal_ln2(self):
         p = Prior.truncated_reciprocal(math.log(2))
         assert p.mean == pytest.approx(1 / (2 * math.log(2)), abs=1e-14)

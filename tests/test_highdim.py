@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mixest import highdim
-from mixest.bayes import Prior, q_functional
+from mixest import highdim, states
+from mixest.bayes import Prior, _sld, _sld_povm, _weighted_states, q_functional
 from mixest.errors import (
     BasisAlignmentFailed,
     DegenerateProblem,
@@ -31,7 +31,8 @@ from mixest.randutil import (
     random_density,
     random_povm,
 )
-from mixest.states import validate_state
+from mixest.simulate import entanglement_demo
+from mixest.states import validate_povm, validate_state
 from planar_oracle import common_eigenbasis, pinch_to_basis, sld_q
 
 UNIFORM = Prior.uniform()
@@ -604,3 +605,94 @@ class TestPointMassPrior:
         for f in (route, solve):
             with pytest.raises(DegenerateProblem, match="prior has zero variance"):
                 f(Prior.point_mass(0.5), rho1, rho2)
+
+
+def _near_degenerate_commuting_pair(rng, dim):
+    """Two distinct states diagonal in one Haar basis, every eigenvalue near 1/d +- 1e-10."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    eps1 = rng.permutation(1e-10 * (-1.0) ** np.arange(dim))
+    eps2 = rng.permutation(eps1)
+    if np.array_equal(eps1, eps2):
+        eps2 = -eps1
+    return tuple(validate_state(q @ np.diag(1.0 / dim + e - e.mean()) @ q.conj().T) for e in (eps1, eps2))
+
+
+MEASURED_FAMILIES = {**{k: make for k, (make, _) in FAMILIES.items()}, "near_degenerate": _near_degenerate_commuting_pair}
+MEASURED_PRIORS = (
+    UNIFORM,
+    Prior.truncated_reciprocal(0.7),
+    Prior.truncated_reciprocal(800.0),
+    PRIORS["table"],
+)
+
+
+class TestBuiltMeasurementsAreValid:
+    """The library builds its measurements unchecked; here they pass validate_povm."""
+
+    @pytest.mark.parametrize("family", sorted(MEASURED_FAMILIES))
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_sld_projectors_and_solve_answers(self, dim, family, rng):
+        for _ in range(30):
+            rho1, rho2 = MEASURED_FAMILIES[family](rng, dim)
+            for prior in MEASURED_PRIORS:
+                povm = _sld_povm(_sld(prior, _weighted_states(prior, rho1, rho2)))
+                validate_povm(povm.matrices())
+                report = solve(prior, rho1, rho2).report
+                if report is not None:
+                    validate_povm(report.povm.matrices())
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_embedded_pairs(self, dim, rng):
+        for _ in range(10):
+            pure, noise = _pure_noise_pair(rng, dim)
+            for prior in MEASURED_PRIORS:
+                for rho1, rho2 in ((pure, noise), (noise, pure)):
+                    out = embed_and_check(prior, rho1, rho2)
+                    assert out.kind is ReductionKind.EMBEDDED
+                    validate_povm(out.report.povm.matrices())
+
+    def test_subspace_test_of_the_entanglement_demo(self, rng):
+        for _ in range(20):
+            psi = haar_vector(rng, 4)
+            for prior in MEASURED_PRIORS:
+                validate_povm(entanglement_demo(psi, prior, n_trials=1).outcome.report.povm.matrices())
+
+
+class TestInputIsCheckedOnce:
+    """Matrices are checked where they enter, never again inside a solve."""
+
+    @pytest.fixture
+    def stack_checks(self, monkeypatch):
+        calls = []
+        check = states._check_stack
+
+        def counted(stack, effect):
+            calls.append(len(stack))
+            return check(stack, effect)
+
+        monkeypatch.setattr(states, "_check_stack", counted)
+        return calls
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_solvers_build_unchecked(self, dim, stack_checks):
+        rng = np.random.default_rng(dim)
+        pairs = [make(rng, dim) for make in MEASURED_FAMILIES.values() for _ in range(3)]
+        psi = haar_vector(rng, dim)
+        pure, noise = _pure_noise_pair(rng, dim)
+        stack_checks.clear()  # the states above were validated where they entered
+        for prior in MEASURED_PRIORS:
+            for rho1, rho2 in pairs:
+                solve(prior, rho1, rho2)
+                if dim == 2:
+                    optimal_pvm(prior, rho1, rho2)
+            solve_pure_plus_noise(prior, psi)
+            if dim > 2:
+                assert embed_and_check(prior, pure, noise).kind is ReductionKind.EMBEDDED
+        entanglement_demo(haar_vector(rng, 4), n_trials=5)
+        assert stack_checks == []
+
+    def test_a_list_is_still_checked(self, stack_checks):
+        rho = validate_state(np.eye(2) / 2)
+        stack_checks.clear()
+        q_functional([np.eye(2)], UNIFORM, rho, rho)
+        assert stack_checks == [1]

@@ -447,12 +447,6 @@ class TestSldBound:
         assert q == pytest.approx(sld_q(prior, rho1, rho2), abs=1e-12)
         assert q + report.score.mean_variance == pytest.approx(prior.second_moment, abs=1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=SingularDenominator,
-        reason="near-pure FOUND in CHANGES.md: validate_state admits eigenvalues down to "
-        "-psd_tol, so |r_b| = 1 + 8e-11 and optimal_pvm meets its 1/(1 - r_b^2) pole",
-    )
     def test_near_pure_pair_solves(self):
         rho1 = validate_state(np.diag([1.0 + 4e-11, -4e-11]))
         u = bloch_rotation_y(1e-6)

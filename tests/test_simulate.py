@@ -9,6 +9,7 @@ import mixest.simulate
 from mixest.bayes import Prior, q_functional
 from mixest.cli import main, matrix_from_json, matrix_to_json
 from mixest.errors import BadParameter, DegenerateProblem, WrongShape
+from mixest.highdim import solve_pure_plus_noise
 from mixest.qubit import optimal_pvm
 from mixest.randutil import random_density, random_povm
 from mixest.simulate import (
@@ -242,13 +243,23 @@ class TestEntanglement:
             entanglement_demo(SINGLET, n_trials=n_trials, seed=0)
 
     @pytest.mark.parametrize(
-        "psi", [np.zeros(4), np.array([math.nan, 1.0, 0.0, 0.0]), np.array([math.inf, 0.0, 0.0, 1.0])]
+        "psi",
+        [
+            np.zeros(4),
+            np.array([math.nan, 1.0, 0.0, 0.0]),
+            np.array([math.inf, 0.0, 0.0, 1.0]),
+            np.array([1e308, 1e308, 0.0, 0.0]),  # finite entries, the norm overflows
+        ],
     )
     def test_rejects_bad_state_vector(self, psi):
         with pytest.raises(BadParameter):
             ppt_threshold(psi)
         with pytest.raises(BadParameter):
             entanglement_demo(psi, n_trials=5, seed=0)
+        with pytest.raises(BadParameter):
+            solve_pure_plus_noise(UNIFORM, psi)
+        with pytest.raises(BadParameter):
+            noisy_state(psi, 0.5)
 
     def test_threshold_closed_form_matches_eigenvalues(self, rng):
         for _ in range(20):
