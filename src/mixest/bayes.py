@@ -36,6 +36,7 @@ from .errors import (
     DegenerateProblem,
     DimensionMismatch,
     NonPositiveParameter,
+    WrongDimension,
 )
 from .policy import DEFAULT_POLICY
 from .states import DensityMatrix, Povm, _trusted_povm, _trusted_states, as_povm
@@ -251,7 +252,6 @@ class EstimationReport:
     score: MeasurementScore
     alpha0: float | None = None
     geometry: "PlanarGeometry | None" = None
-    degenerate: bool = False
 
     @property
     def estimates(self) -> tuple[float, ...]:
@@ -301,7 +301,7 @@ def _moments_against(prior: Prior, ta: float, tb: float, tc: float) -> Posterior
     estimate = prior.mean * ta / tb
     second = prior.second_moment * tc / tb
     variance = second - estimate * estimate
-    if variance < -1e-12:
+    if variance < -DEFAULT_POLICY.degenerate_tol:
         raise BadParameter(f"posterior variance came out negative: {variance:.3e}")
     return PosteriorMoments(tb, estimate, second, max(variance, 0.0))
 
@@ -373,3 +373,22 @@ def reject_degenerate_prior(prior: Prior) -> None:
     """Optimizers refuse priors with (numerically) zero variance."""
     if prior.variance <= DEFAULT_POLICY.degenerate_tol:
         raise DegenerateProblem("prior has zero variance; nothing to estimate")
+
+
+def _check_states(rho1: DensityMatrix, rho2: DensityMatrix) -> None:
+    """Require, in this order, one dimension d, d >= 2 and ``max|rho1 - rho2| > degenerate_tol``.
+
+    For ``rho1 = rho2`` every measurement has the same statistics, whatever ``lam`` is.
+    """
+    if rho1.dim != rho2.dim:
+        raise DimensionMismatch(f"states have different dimensions {rho1.dim} vs {rho2.dim}")
+    if rho1.dim < 2:
+        raise WrongDimension(f"states are {rho1.dim}x{rho1.dim} matrices; the problem needs dimension >= 2")
+    if float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= DEFAULT_POLICY.degenerate_tol:
+        raise DegenerateProblem("rho1 = rho2: every measurement performs equally")
+
+
+def _check_problem(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> None:
+    """The one check of every public solver: :func:`_check_states`, then a prior with variance."""
+    _check_states(rho1, rho2)
+    reject_degenerate_prior(prior)

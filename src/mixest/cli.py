@@ -12,10 +12,11 @@ Prior JSON: ``{"kind": "uniform"}``, ``{"kind": "trunc_reciprocal",
 "t_bmax": x}`` or ``{"kind": "table", "lambda": [...], "density": [...]}``.
 POVM JSON: ``{"effects": [M, ...]}``.
 
-Exit codes: 0 on success, 2 on input errors (including files that cannot
-be read or written, a negative seed for ``selftest``, a linear-algebra
-routine that fails on the input, and a trial count too large to
-allocate), 3 when no reduction yields a valid measurement.
+Exit codes: 0 on success, 2 on input errors (including identical states,
+files that cannot be read or written, a negative seed for ``selftest``, a
+linear-algebra routine that fails on the input, and a trial count too
+large to allocate), 3 when no reduction yields a valid measurement.
+``simulate --povm FILE`` still scores its POVM on identical states.
 stdout carries data only; diagnostics go to stderr.
 
 ``solve`` and ``decoherence`` print their record as one line of compact
@@ -71,7 +72,9 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ParseError(f"matrix dim must be an integer, got {dim!r}")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ParseError(f"matrix entries do not match dim={dim}")
-    return re + 1j * im
+    m = re.astype(complex)  # re + 1j * im makes the real part nan where im is infinite
+    m.imag = im
+    return m
 
 
 def prior_from_json(obj) -> Prior:
@@ -142,7 +145,6 @@ def _report_json(kind: str, report: EstimationReport, extra: dict | None = None)
     out = {
         "kind": kind,
         "positivity_ok": True,
-        "degenerate": report.degenerate,
         "q_value": report.score.q_value,
         "mean_variance": report.score.mean_variance,
         "outcomes": [

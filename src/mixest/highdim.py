@@ -18,7 +18,8 @@ applies:
   "unreduced" and no optimality claim is made.
 
 Every solved route scores its measurement with the score of
-:func:`q_functional`.
+:func:`q_functional`.  Every public function here first runs the one
+problem check, :func:`~mixest.bayes._check_problem`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ import numpy as np
 from .bayes import (
     EstimationReport,
     Prior,
+    _check_problem,
+    _check_states,
     _score,
     _sld,
     _sld_povm,
@@ -40,14 +43,7 @@ from .bayes import (
     q_functional,
     reject_degenerate_prior,
 )
-from .errors import (
-    BasisAlignmentFailed,
-    DegenerateProblem,
-    DimensionMismatch,
-    NotCommuting,
-    SupportTooLarge,
-    WrongDimension,
-)
+from .errors import BasisAlignmentFailed, NotCommuting, SupportTooLarge
 from .policy import DEFAULT_POLICY
 from .qubit import optimal_alpha, optimal_pvm, planar_geometry_from_coords
 from .states import DensityMatrix, _trusted_povm, _trusted_states, _unit_vector, commutator_norm
@@ -102,18 +98,12 @@ def solve(
     by :func:`solve_commuting` and :func:`solve_two_dim_support` called on
     their own.
     """
-    if rho1.dim != rho2.dim:
-        raise DimensionMismatch(f"states have different dimensions {rho1.dim} vs {rho2.dim}")
-    d = rho1.dim
-    if d < 2:
-        raise WrongDimension(f"states are {d}x{d} matrices; the problem needs dimension >= 2")
-    if d == 2:
+    _check_problem(prior, rho1, rho2)
+    if rho1.dim == 2:
         outcome = ReductionOutcome(
             ReductionKind.QUBIT, "closed-form optimal angle of the qubit problem", optimal_pvm(prior, rho1, rho2)
         )
     else:
-        # the routes below skip their public functions' checks
-        reject_degenerate_prior(prior)
         if _pure_state_against_noise(rho1, rho2):
             return _sld_outcome(ReductionKind.PURE_WITH_NOISE, _PURE_CERTIFICATE, prior, rho1, rho2)
         cnorm = commutator_norm(rho1, rho2)
@@ -141,19 +131,12 @@ def _sld_outcome(
     states = _weighted_states(prior, rho1, rho2)
     sld = _sld(prior, states)
     povm = _sld_povm(sld)
-    degenerate = float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= DEFAULT_POLICY.degenerate_tol
-    report = EstimationReport(povm=povm, score=_score(povm.matrices(), prior, states), degenerate=degenerate)
+    report = EstimationReport(povm=povm, score=_score(povm.matrices(), prior, states))
     return ReductionOutcome(kind, certificate, report, q_star=sld[0])
 
 
 def _commuting_certificate(cnorm: float) -> str:
     return f"common eigenbasis of commuting states (commutator norm {cnorm:.2e})"
-
-
-def _check_problem(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> None:
-    if rho1.dim != rho2.dim:
-        raise DimensionMismatch(f"dims {rho1.dim} vs {rho2.dim}")
-    reject_degenerate_prior(prior)
 
 
 def solve_commuting(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> ReductionOutcome:
@@ -213,6 +196,7 @@ def aligned_basis(rho1: DensityMatrix, rho2: DensityMatrix) -> tuple[np.ndarray,
     remaining ones are Gell-Mann completions.  :func:`embed_and_check`
     needs only the plane and does not build this basis.
     """
+    _check_states(rho1, rho2)
     d = rho1.dim
     return tuple(_gell_mann_completion(list(_aligned_plane(rho1, rho2)), d * d - 1))
 
@@ -220,18 +204,14 @@ def aligned_basis(rho1: DensityMatrix, rho2: DensityMatrix) -> tuple[np.ndarray,
 def _aligned_plane(rho1: DensityMatrix, rho2: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal generators (G_1, G_2) of the plane holding both states.
 
-    G_1 points along rho1 - rho2; G_2 completes the plane by Gram-Schmidt
-    on rho1 - I/d.  When rho1 - I/d is collinear with G_1 (one state is
-    white noise), G_2 comes from the Gell-Mann completion instead.
+    G_1 points along rho1 - rho2, nonzero by the callers' state check; G_2
+    completes the plane by Gram-Schmidt on rho1 - I/d.  When rho1 - I/d is
+    collinear with G_1 (one state is white noise), G_2 comes from the
+    Gell-Mann completion instead.
     """
     d = rho1.dim
-    if rho2.dim != d:
-        raise DimensionMismatch(f"dims {d} vs {rho2.dim}")
     diff = rho1.matrix - rho2.matrix
-    dn = _hs_norm(diff)
-    if dn <= DEFAULT_POLICY.degenerate_tol:
-        raise DegenerateProblem("rho1 = rho2: no alignment direction")
-    g1 = diff / dn
+    g1 = diff / _hs_norm(diff)
 
     a1 = rho1.matrix - np.eye(d) / d
     resid = a1 - _hs_inner(g1, a1) * g1
@@ -306,8 +286,6 @@ def embed_and_check(
     """
     _check_problem(prior, rho1, rho2)
     d = rho1.dim
-    if float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= DEFAULT_POLICY.degenerate_tol:
-        raise DegenerateProblem("rho1 = rho2")
     g1, g2 = _aligned_plane(rho1, rho2)
 
     # expressibility over (G_0, G_1, G_2)

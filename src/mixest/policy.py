@@ -1,9 +1,9 @@
 """Global numeric tolerances.
 
-All validation and solver tolerances live in a single immutable record so
+The validation and solver tolerances live in a single immutable record so
 that every module interprets "equal", "positive" and "zero probability"
-the same way.  The library reads :data:`DEFAULT_POLICY`; no function
-takes a record of its own.
+the same way; the README names the few literals that stay outside it.
+The library reads :data:`DEFAULT_POLICY`; no function takes its own.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class NumericPolicy:
     commute_tol: float = 1e-9        # max |[rho1, rho2]| for "commuting"
     support_tol: float = 1e-9        # eigenvalue threshold for support rank
     zero_prob: float = 1e-14         # outcome probability treated as "never occurs"
-    degenerate_tol: float = 1e-12    # delta_r / prior variance below this is degenerate
+    degenerate_tol: float = 1e-12    # max |rho1 - rho2|, delta_r, prior variance: below is degenerate
 
 
 DEFAULT_POLICY = NumericPolicy()

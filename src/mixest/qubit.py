@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import EstimationReport, Prior, _score, _sld, _sld_povm, _weighted_states, reject_degenerate_prior
-from .errors import DegenerateProblem, SingularDenominator, WrongDimension
+from .bayes import EstimationReport, Prior, _check_problem, _score, _sld, _sld_povm, _weighted_states
+from .errors import SingularDenominator, WrongDimension
 from .policy import DEFAULT_POLICY
 from .states import DensityMatrix, _compose_stack, _pauli_coords, _trusted_povm, bloch_decompose
 
@@ -147,11 +147,9 @@ def optimal_pvm(prior: Prior, rho1: DensityMatrix, rho2: DensityMatrix) -> Estim
     :func:`optimal_alpha`, :func:`~mixest.states.bloch_compose` of
     ``+-direction`` at weight 1/2 and :func:`~mixest.bayes.q_functional`.
     """
-    reject_degenerate_prior(prior)
-    if rho1.dim != 2 or rho2.dim != 2:
+    _check_problem(prior, rho1, rho2)
+    if rho1.dim != 2:
         raise WrongDimension("optimal_pvm solves qubit problems; see the highdim module")
-    if float(np.max(np.abs(rho1.matrix - rho2.matrix))) <= DEFAULT_POLICY.degenerate_tol:
-        raise DegenerateProblem("rho1 = rho2: every measurement performs equally")
     states = _weighted_states(prior, rho1, rho2)  # rho_a, rho_b, rho_c
     geom = planar_geometry_from_coords(_pauli_coords(states[0]), _pauli_coords(states[1]), prior.mean**2)
     if geom.r_b_norm >= 1.0:  # the pole of optimal_alpha, within validate_state's psd_tol slack

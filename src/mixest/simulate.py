@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import EstimationReport, Prior, _traces, q_functional, reject_degenerate_prior
-from .errors import BadParameter, DegenerateProblem, WrongShape
+from .errors import BadParameter, WrongShape
 from .highdim import _PURE_CERTIFICATE, ReductionKind, ReductionOutcome, solve
 from .policy import DEFAULT_POLICY
 from .states import DensityMatrix, Povm, _trusted_povm, _trusted_states, _unit_vector, as_povm
@@ -259,12 +259,10 @@ def solve_decay_estimation(model: DecoherenceModel, uniform_prior: bool = False)
     parameter; :func:`~mixest.highdim.solve` does the rest, with the
     closed-form qubit answer and its ``q_star``.  Passing
     ``uniform_prior=True`` overrides the induced prior with the flat one.
+    ``solve`` refuses an initial state equal to the equilibrium state.
     """
-    eq = model.equilibrium
-    if float(np.max(np.abs(model.rho0.matrix - eq.matrix))) <= DEFAULT_POLICY.degenerate_tol:
-        raise DegenerateProblem("initial state equals the equilibrium state; decay is invisible")
     prior = Prior.uniform() if uniform_prior else Prior.truncated_reciprocal(model.t_bmax)
-    outcome = solve(prior, model.rho0, eq)
+    outcome = solve(prior, model.rho0, model.equilibrium)
     report = outcome.report
     lo = math.exp(-model.t_bmax)
     b_estimates = tuple(
@@ -281,7 +279,6 @@ WITNESS[1, 2] = 1.0  # |01><10|
 WITNESS[2, 1] = 1.0  # |10><01|
 WITNESS[3, 3] = 1.0  # |11><11|
 WITNESS.setflags(write=False)
-_PPT_TOL = 1e-10  # a partial-transpose eigenvalue below -_PPT_TOL means entangled
 
 
 def partial_transpose(m: np.ndarray) -> np.ndarray:
@@ -299,8 +296,8 @@ def min_ppt_eigenvalue(m: np.ndarray) -> float:
 
 
 def is_entangled(m: np.ndarray) -> bool:
-    """Partial-transpose test; exact for two qubits."""
-    return min_ppt_eigenvalue(m) < -_PPT_TOL
+    """Partial-transpose test, exact for two qubits; eigenvalues below ``-psd_tol`` count as negative."""
+    return min_ppt_eigenvalue(m) < -DEFAULT_POLICY.psd_tol
 
 
 def noisy_state(psi: np.ndarray, lam: float) -> np.ndarray:
@@ -381,7 +378,7 @@ def entanglement_demo(
     w_pure = float(np.vdot(psi, WITNESS @ psi).real)
 
     def entangled(x):
-        return ((1.0 - x) / 4.0 - x * s < -_PPT_TOL).tolist()
+        return ((1.0 - x) / 4.0 - x * s < -DEFAULT_POLICY.psd_tol).tolist()
 
     def witness(x):
         return (x * w_pure + (1.0 - x) / 2.0).tolist()

@@ -66,10 +66,14 @@ class TestSolve:
         estimates = sorted(o["estimate"] for o in result["outcomes"])
         assert estimates == pytest.approx([1 / 3, 2 / 3], abs=1e-12)
 
-    def test_identical_states_exit_two(self, tmp_path, capsys):
-        problem = problem_file(tmp_path, np.eye(2) / 2, np.eye(2) / 2)
-        assert main(["solve", "--problem", problem]) == 2
-        assert "error" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", [["solve"], ["simulate", "--povm", "optimal", "--n-trials", "10"]])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_identical_states_exit_two(self, tmp_path, capsys, dim, command):
+        problem = problem_file(tmp_path, np.eye(dim) / dim, np.eye(dim) / dim)
+        assert main([command[0], "--problem", problem, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rho1 = rho2: every measurement performs equally\n"
 
     def test_commuting_qutrit(self, tmp_path, capsys):
         problem = problem_file(tmp_path, np.diag([0.5, 0.3, 0.2]), np.diag([0.2, 0.3, 0.5]))
@@ -332,6 +336,14 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: states have different dimensions 2 vs 3\n"
+
+    def test_given_povm_scores_identical_states(self, tmp_path, capsys):
+        # no solver runs on a given POVM, so identical states are scored, not refused
+        problem = problem_file(tmp_path, np.eye(3) / 3, np.eye(3) / 3)
+        effects = [matrix_json(np.diag([1.0, 0.0, 0.0])), matrix_json(np.diag([0.0, 1.0, 1.0]))]
+        povm = write_json(tmp_path / "povm.json", {"effects": effects})
+        assert main(["simulate", "--problem", problem, "--povm", povm, "--n-trials", "10"]) == 0
+        assert capsys.readouterr().out.startswith("seed,n_trials,")
 
     def test_one_by_one_states_exit_two(self, tmp_path, capsys):
         assert main(["simulate", "--problem", one_by_one_problem(tmp_path), "--n-trials", "10"]) == 2
@@ -638,7 +650,6 @@ def report_record(kind, report):
     record = {
         "kind": kind,
         "positivity_ok": True,
-        "degenerate": report.degenerate,
         "q_value": report.score.q_value,
         "mean_variance": report.score.mean_variance,
         "outcomes": [

@@ -131,11 +131,10 @@ class TestSolveCommuting:
         assert out.report.score.mean_variance == pytest.approx(2 / 27, abs=1e-12)
         assert commuting_q(UNIFORM, rho1, rho2) == pytest.approx(out.report.score.q_value, abs=1e-10)
 
-    def test_identical_states_flagged(self):
+    def test_identical_states_rejected(self):
         rho = validate_state(np.diag([0.6, 0.4]))
-        out = solve_commuting(UNIFORM, rho, rho)
-        assert out.report.degenerate
-        assert out.report.score.q_value == pytest.approx(0.25, abs=1e-12)
+        with pytest.raises(DegenerateProblem, match="rho1 = rho2"):
+            solve_commuting(UNIFORM, rho, rho)
 
     def test_qutrit_dominance(self, rng):
         rho1 = validate_state(np.diag([0.5, 0.3, 0.2]))
@@ -225,10 +224,10 @@ class TestTwoDimSupport:
         with pytest.raises(SupportTooLarge):
             solve_two_dim_support(UNIFORM, rho1, rho2)
 
-    def test_identical_pure_states_flagged(self):
+    def test_identical_pure_states_rejected(self):
         rho = embed_states([0, 0, 1])
-        out = solve_two_dim_support(UNIFORM, rho, rho)
-        assert out.report.degenerate
+        with pytest.raises(DegenerateProblem, match="rho1 = rho2"):
+            solve_two_dim_support(UNIFORM, rho, rho)
 
     def test_lifted_score_matches_qubit_solution(self, rng):
         # random pair supported on the first two axes of a 4-level system
@@ -605,6 +604,28 @@ class TestPointMassPrior:
         for f in (route, solve):
             with pytest.raises(DegenerateProblem, match="prior has zero variance"):
                 f(Prior.point_mass(0.5), rho1, rho2)
+
+
+class TestIdenticalStates:
+    # rho1 = rho2 leaves nothing to estimate: every solver refuses the pair
+    # in every dimension, before any route condition is tested, and so
+    # does a pair closer than degenerate_tol entrywise
+    @pytest.mark.parametrize("gap", [0.0, 1e-13])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_every_solver_refuses_them(self, dim, gap, rng):
+        rho1 = random_density(rng, dim)
+        shift = np.zeros((dim, dim))
+        shift[0, 0], shift[1, 1] = gap, -gap
+        rho2 = validate_state(rho1.matrix + shift)
+        assert float(np.max(np.abs(rho1.matrix - rho2.matrix))) == pytest.approx(gap, rel=1e-2)
+        solvers = [solve, solve_commuting, solve_two_dim_support, embed_and_check]
+        if dim == 2:
+            solvers.append(optimal_pvm)
+        for f in solvers:
+            with pytest.raises(DegenerateProblem, match="rho1 = rho2"):
+                f(UNIFORM, rho1, rho2)
+        with pytest.raises(DegenerateProblem, match="rho1 = rho2"):
+            aligned_basis(rho1, rho2)
 
 
 def _near_degenerate_commuting_pair(rng, dim):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixest.bayes import EstimationReport, Prior, effective_states, q_functional
-from mixest.errors import DegenerateProblem, InvalidPovm, SingularDenominator
+from mixest.errors import DegenerateProblem, DimensionMismatch, InvalidPovm, SingularDenominator, WrongDimension
 from mixest.qubit import PlanarGeometry, optimal_alpha, optimal_pvm, planar_geometry
 from mixest.randutil import random_density, random_povm, random_pure
 from mixest.states import (
@@ -275,6 +275,13 @@ class TestOptimalPvm:
     def test_point_mass_prior_rejected(self):
         with pytest.raises(DegenerateProblem):
             optimal_pvm(Prior.point_mass(0.5), Z0, Z1)
+
+    def test_rejects_other_dimensions(self, rng):
+        # the shared problem check compares the two dimensions first
+        with pytest.raises(DimensionMismatch):
+            optimal_pvm(UNIFORM, Z0, random_density(rng, 3))
+        with pytest.raises(WrongDimension, match="qubit"):
+            optimal_pvm(UNIFORM, random_density(rng, 3), random_density(rng, 3))
 
     def test_score_matches_angle_formula(self, rng):
         for _ in range(20):
