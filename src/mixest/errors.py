@@ -91,12 +91,6 @@ class SupportTooLarge(EstimationError):
         )
 
 
-class BasisAlignmentFailed(EstimationError):
-    def __init__(self, residual: float):
-        self.residual = float(residual)
-        super().__init__(f"states are not expressible over the first two generators: residual {residual:.3e}")
-
-
 class ParseError(EstimationError):
     pass
 

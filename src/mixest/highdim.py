@@ -13,13 +13,16 @@ applies:
   ``kind`` and ``certificate``,
 * otherwise, embed the two states in a two-generator coordinate plane,
   solve the planar problem there, and rebuild a candidate two-outcome
-  measurement.  The rebuilt effects need not be positive in dimension
-  three or higher; when positivity fails the outcome is marked
+  measurement.  In dimension three or higher the rebuilt effects are
+  positive only when they form the subspace test ``{P, I - P}`` of a
+  pure state in the states' plane; otherwise the outcome is marked
   "unreduced" and no optimality claim is made.
 
-Every solved route scores its measurement with the score of
-:func:`q_functional`.  Every public function here first runs the one
-problem check, :func:`~mixest.bayes._check_problem`.
+Every solved route scores its measurement with
+:func:`~mixest.bayes._score` on the stack of
+:func:`~mixest.bayes._weighted_states`, the score of
+:func:`~mixest.bayes.q_functional`.  Every public function here first
+runs the one problem check, :func:`~mixest.bayes._check_problem`.
 """
 
 from __future__ import annotations
@@ -40,10 +43,9 @@ from .bayes import (
     _sld,
     _sld_povm,
     _weighted_states,
-    q_functional,
     reject_degenerate_prior,
 )
-from .errors import BasisAlignmentFailed, NotCommuting, SupportTooLarge
+from .errors import NotCommuting, SupportTooLarge
 from .policy import DEFAULT_POLICY
 from .qubit import optimal_alpha, optimal_pvm, planar_geometry_from_coords
 from .states import DensityMatrix, _trusted_povm, _trusted_states, _unit_vector, commutator_norm
@@ -205,9 +207,12 @@ def _aligned_plane(rho1: DensityMatrix, rho2: DensityMatrix) -> tuple[np.ndarray
     """Orthonormal generators (G_1, G_2) of the plane holding both states.
 
     G_1 points along rho1 - rho2, nonzero by the callers' state check; G_2
-    completes the plane by Gram-Schmidt on rho1 - I/d.  When rho1 - I/d is
-    collinear with G_1 (one state is white noise), G_2 comes from the
-    Gell-Mann completion instead.
+    completes the plane by Gram-Schmidt on rho1 - I/d, in two passes
+    against G_1, so that G_2 stays orthogonal to G_1 to rounding even when
+    the part of rho1 - I/d off G_1 is tiny (a state 1e-8 off white noise).
+    Both states then lie in span{I, G_1, G_2} by construction.  When
+    rho1 - I/d is collinear with G_1 (one state is white noise), G_2 comes
+    from the Gell-Mann completion instead.
     """
     d = rho1.dim
     diff = rho1.matrix - rho2.matrix
@@ -215,6 +220,7 @@ def _aligned_plane(rho1: DensityMatrix, rho2: DensityMatrix) -> tuple[np.ndarray
 
     a1 = rho1.matrix - np.eye(d) / d
     resid = a1 - _hs_inner(g1, a1) * g1
+    resid = resid - _hs_inner(g1, resid) * g1
     rn = _hs_norm(resid)
     if rn > 1e-9:
         return g1, resid / rn
@@ -257,7 +263,7 @@ def _gell_mann_completion(generators: list, count: int) -> list:
 
 
 def _hs_inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.trace(a.conj().T @ b).real)
+    return float(np.vdot(a, b).real)
 
 
 def _hs_norm(a: np.ndarray) -> float:
@@ -269,56 +275,45 @@ def embed_and_check(
     rho1: DensityMatrix,
     rho2: DensityMatrix,
 ) -> ReductionOutcome:
-    """Two-generator embedding with a positivity check on the rebuilt effects.
+    """Two-generator embedding: the subspace test of a pure state in the states' plane, or nothing.
 
-    The two states are written over (G_0, G_1, G_2); the planar solver
-    finds the optimal direction; the candidate effect is the trace-one
-    reconstruction along that direction, completed by its complement.
-    Both signs of the direction are tried.  If neither candidate pair is
-    positive the problem stays unreduced and no optimality is claimed.  A
-    feasible pair is built unchecked; its first effect is made exactly
-    Hermitian before the complement is taken, so that the printed pair
-    passes ``validate_povm`` when ``simulate --povm FILE`` reads it back.
+    Both states, and so the mixtures of :func:`~mixest.bayes._weighted_states`,
+    lie in span{I, G_1, G_2} of :func:`_aligned_plane`; the planar solver
+    finds the optimal unit direction ``u`` from the plane coordinates of
+    rho_a and rho_b.  The candidate pairs are ``{E, I - E}``, ``E = (I +- A)/d``
+    with ``A = sqrt(d^2 - d) (u_1 G_1 + u_2 G_2)`` made exactly Hermitian,
+    so that ``simulate --povm FILE`` accepts the printed pair.  One spectrum
+    of ``A`` gives the smallest eigenvalue of all four effects.
 
-    Only the plane (G_1, G_2) of :func:`_aligned_plane` enters; the full
-    :func:`aligned_basis` is never built.  If a state is not rebuilt from
-    its plane coordinates to 1e-8, :class:`BasisAlignmentFailed` is raised.
+    At most one sign gives a positive pair: a traceless ``A`` of norm
+    ``sqrt(d^2 - d)`` has smallest eigenvalue at most -1 (the d numbers
+    ``a_i - a_min`` are non-negative and sum to ``-d a_min``), with equality
+    only for ``A = dP - I``, ``P`` a rank-one projector.  So a positive ``E``
+    is ``P``, and the other sign has eigenvalue ``(2 - d)/d`` on ``P``; at
+    d = 2 both signs give the same two projectors.  The embedding answers
+    only with the subspace test ``{P, I - P}`` of a pure state in the
+    states' plane, scored on the same stack; otherwise the problem stays
+    unreduced, with the ``+`` pair as candidates, and no optimality is claimed.
     """
     _check_problem(prior, rho1, rho2)
     d = rho1.dim
     g1, g2 = _aligned_plane(rho1, rho2)
-
-    # expressibility over (G_0, G_1, G_2)
+    states = _weighted_states(prior, rho1, rho2)  # rho_a, rho_b, rho_c
     scale = d / math.sqrt(d * d - d)
-    coords = []
-    for rho in (rho1, rho2):
-        x = _hs_inner(g1, rho.matrix) * scale
-        y = _hs_inner(g2, rho.matrix) * scale
-        recon = (np.eye(d) + math.sqrt(d * d - d) * (x * g1 + y * g2)) / d
-        resid = float(np.max(np.abs(rho.matrix - recon)))
-        if resid > 1e-8:
-            raise BasisAlignmentFailed(resid)
-        coords.append(np.array([x, y]))
-    r1, r2 = coords
-
-    w = prior.second_moment / prior.mean
-    r_a = w * r1 + (1.0 - w) * r2
-    r_b = prior.mean * r1 + (1.0 - prior.mean) * r2
+    r_a, r_b = (scale * np.array([_hs_inner(g1, m), _hs_inner(g2, m)]) for m in states[:2])
     geom = planar_geometry_from_coords(r_a, r_b, scale=prior.mean**2)
     sol = optimal_alpha(geom)
     u = geom.direction(sol.alpha)
 
-    candidates = []
-    for v in (u, -u):
-        first = (np.eye(d) + math.sqrt(d * d - d) * (v[0] * g1 + v[1] * g2)) / d
-        first = (first + first.conj().T) / 2
-        second = np.eye(d) - first
-        min_eig = min(float(np.linalg.eigvalsh(first)[0]), float(np.linalg.eigvalsh(second)[0]))
-        candidates.append((first, second, min_eig))
-
-    feasible = [c for c in candidates if c[2] >= -DEFAULT_POLICY.psd_tol]
-    if not feasible:
-        first, second, min_eig = candidates[0]
+    a = math.sqrt(d * d - d) * (u[0] * g1 + u[1] * g2)
+    a = (a + a.conj().T) / 2
+    lo, hi = np.linalg.eigvalsh(a)[[0, -1]].tolist()
+    plus = min((1.0 + lo) / d, 1.0 - (1.0 + hi) / d)
+    minus = min((1.0 - hi) / d, 1.0 - (1.0 - lo) / d)
+    sign, min_eig = (-1.0, minus) if plus < -DEFAULT_POLICY.psd_tol <= minus else (1.0, plus)
+    first = (np.eye(d) + sign * a) / d
+    effects = (first, np.eye(d) - first)
+    if min_eig < -DEFAULT_POLICY.psd_tol:
         return ReductionOutcome(
             kind=ReductionKind.UNREDUCED,
             certificate=(
@@ -326,18 +321,11 @@ def embed_and_check(
                 f"(min eigenvalue {min_eig:.3e}); no optimality claim"
             ),
             reduced_q=sol.q_max,
-            candidate_effects=(first, second),
+            candidate_effects=effects,
             min_eigenvalue=min_eig,
         )
-
-    best = None
-    for first, second, min_eig in feasible:
-        povm = _trusted_povm([first, second])
-        score = q_functional(povm, prior, rho1, rho2)
-        if best is None or score.q_value > best[1].q_value:
-            best = (povm, score, min_eig)
-    povm, score, min_eig = best
-    report = EstimationReport(povm=povm, score=score, alpha0=sol.alpha)
+    povm = _trusted_povm(effects)
+    report = EstimationReport(povm=povm, score=_score(effects, prior, states), alpha0=sol.alpha)
     return ReductionOutcome(
         kind=ReductionKind.EMBEDDED,
         certificate="two-generator embedding; rebuilt effects are positive",

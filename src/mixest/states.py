@@ -177,7 +177,9 @@ def _trusted_povm(matrices) -> Povm:
 
     For every measurement the library builds: the SLD eigenspaces of one
     ``eigh``, the test ``{P, I - P}`` of a unit vector, the qubit PVM and
-    the embedded pair whose smallest eigenvalues ``embed_and_check`` measured.
+    the embedded pair, the subspace test ``{P, I - P}`` of a pure state in
+    the states' plane, whose smallest eigenvalues ``embed_and_check`` read
+    from one spectrum.
     """
     stack = np.array(matrices, dtype=complex)
     stack.setflags(write=False)

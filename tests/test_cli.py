@@ -110,6 +110,19 @@ class TestSolve:
         assert not result["positivity_ok"]
         assert "unsolved" in captured.err
 
+    def test_pure_state_against_noise_just_off_white_is_unsolved_not_refused(self, tmp_path, capsys):
+        # a valid pair the embedding cannot answer: exit 3 with the candidates, not an input error
+        rng = np.random.default_rng(3)
+        psi = haar_vector(rng, 3)
+        h = random_density(rng, 3)
+        rho2 = (1.0 - 1e-8) * np.eye(3) / 3 + 1e-8 * h.matrix
+        problem = problem_file(tmp_path, np.outer(psi, psi.conj()), rho2)
+        assert main(["solve", "--problem", problem]) == 3
+        captured = capsys.readouterr()
+        assert '"kind": "unreduced"' in captured.out
+        assert '"positivity_ok": false' in captured.out
+        assert captured.err.startswith("unsolved case: ")
+
     def test_prior_override_inline(self, tmp_path, capsys):
         problem = orthogonal_pure_problem(tmp_path)
         arg = json.dumps({"kind": "trunc_reciprocal", "t_bmax": math.log(2.0)})

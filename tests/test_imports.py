@@ -166,3 +166,34 @@ def test_no_module_imports_a_name_it_never_uses():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 unused += [f"{path.name}: {name}" for name in _bound_names(node) if name not in used]
     assert unused == []
+
+
+def _raised_names(tree):
+    """The names of the exception classes that a module's ``raise`` statements raise."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_error_class_is_raised_or_a_base_of_one_that_is():
+    # an exception class whose raise is gone is dead API: delete it with its raise
+    errors = ast.parse((SRC / "mixest" / "errors.py").read_text(encoding="utf-8"))
+    bases = {
+        node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+        for node in errors.body
+        if isinstance(node, ast.ClassDef)
+    }
+    live = set()
+    for path in (SRC / "mixest").glob("*.py"):
+        live |= _raised_names(ast.parse(path.read_text(encoding="utf-8"))) & set(bases)
+    frontier = set(live)
+    while frontier:
+        frontier = set().union(*(bases[name] for name in frontier)) & set(bases) - live
+        live |= frontier
+    assert sorted(set(bases) - live) == []
