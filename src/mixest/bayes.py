@@ -31,13 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    BadParameter,
-    DegenerateProblem,
-    DimensionMismatch,
-    NonPositiveParameter,
-    WrongDimension,
-)
+from .errors import BadParameter, DegenerateProblem, DimensionMismatch, WrongDimension
 from .policy import DEFAULT_POLICY
 from .states import DensityMatrix, Povm, _trusted_povm, _trusted_states, as_povm
 
@@ -116,7 +110,7 @@ class Prior:
         B is uniform on [0, B_max] and ``t_bmax = t * B_max``.
         """
         if t_bmax <= 0.0:
-            raise NonPositiveParameter(f"t_bmax must be positive, got {t_bmax}")
+            raise BadParameter(f"t_bmax must be positive, got {t_bmax}")
         t = float(t_bmax)
         m1 = -math.expm1(-t) / t
         m2 = -math.expm1(-2 * t) / (2 * t)

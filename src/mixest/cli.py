@@ -141,7 +141,8 @@ def load_povm(path: str) -> Povm:
     return validate_povm([matrix_from_json(e) for e in obj["effects"]])
 
 
-def _report_json(kind: str, report: EstimationReport, extra: dict | None = None) -> dict:
+def _report_json(kind: str, report: EstimationReport, q_star: float, extra: dict) -> dict:
+    """The record of a solved answer: its measurement, then ``extra``, then ``q_star`` and ``gap``."""
     out = {
         "kind": kind,
         "positivity_ok": True,
@@ -160,8 +161,9 @@ def _report_json(kind: str, report: EstimationReport, extra: dict | None = None)
     }
     if report.alpha0 is not None:
         out["alpha0"] = report.alpha0
-    if extra:
-        out.update(extra)
+    out.update(extra)
+    out["q_star"] = q_star
+    out["gap"] = q_star - report.score.q_value
     return out
 
 
@@ -214,9 +216,8 @@ def cmd_solve(args) -> int:
             "q_star": outcome.q_star,
         }
     else:
-        gap = outcome.q_star - outcome.report.score.q_value
-        extra = {"certificate": outcome.certificate, "q_star": outcome.q_star, "gap": gap}
-        result = _report_json(outcome.kind.value, outcome.report, extra)
+        extra = {"certificate": outcome.certificate}
+        result = _report_json(outcome.kind.value, outcome.report, outcome.q_star, extra)
     _write_text(args.out, json.dumps(result) + "\n")
     if outcome.report is None:
         raise UnsolvedCase(outcome.certificate)
@@ -277,18 +278,14 @@ def cmd_decoherence(args) -> int:
     summary = run_simulation(
         decay.report.povm, decay.prior, model.rho0, model.equilibrium, args.n_trials, args.seed
     )
-    result = _report_json("decoherence", decay.report)
-    result.update(
-        {
-            "prior_mean": decay.prior.mean,
-            "prior_second_moment": decay.prior.second_moment,
-            "t_bmax": model.t_bmax,
-            "b_plugin_estimates": list(decay.b_estimates),
-            "simulation": dataclasses.asdict(summary),
-            "q_star": decay.q_star,
-            "gap": decay.q_star - decay.report.score.q_value,
-        }
-    )
+    extra = {
+        "prior_mean": decay.prior.mean,
+        "prior_second_moment": decay.prior.second_moment,
+        "t_bmax": model.t_bmax,
+        "b_plugin_estimates": list(decay.b_estimates),
+        "simulation": dataclasses.asdict(summary),
+    }
+    result = _report_json("decoherence", decay.report, decay.q_star, extra)
     _write_text(None, json.dumps(result) + "\n")
     if args.out is not None:
         _write_text(args.out, _summary_csv(summary))

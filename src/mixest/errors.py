@@ -1,7 +1,11 @@
-"""Exception hierarchy.
+"""Exception hierarchy: one class per fault, all under :class:`EstimationError`.
 
-Validation errors carry the offending magnitude so callers (and the CLI)
-can report what failed, not just that something failed.
+Every exception the package raises on purpose is one of these, so a
+caller (and the CLI) can catch the package's faults with one class.  An
+out-of-range number, whatever its sign, raises :class:`BadParameter`, and
+an array of the wrong size or shape raises :class:`WrongDimension`.
+Validation errors carry the offending magnitude so callers can report
+what failed, not just that something failed.
 """
 
 from __future__ import annotations
@@ -53,10 +57,6 @@ class DimensionMismatch(ValidationError):
     pass
 
 
-class WrongShape(ValidationError):
-    pass
-
-
 class VectorTooLong(ValidationError):
     def __init__(self, norm: float):
         self.norm = float(norm)
@@ -67,10 +67,6 @@ class NotCommuting(EstimationError):
     def __init__(self, commutator_norm: float):
         self.commutator_norm = float(commutator_norm)
         super().__init__(f"states do not commute: max |[rho1, rho2]| = {commutator_norm:.3e}")
-
-
-class NonPositiveParameter(EstimationError):
-    pass
 
 
 class SingularDenominator(EstimationError):

@@ -1,9 +1,9 @@
 """Solver entry point for problems in any dimension d >= 2.
 
-:func:`solve` builds the Bayesian SLD ``L`` of the problem once
-(:func:`~mixest.bayes._sld`) and reports its optimum ``q_star`` on every
-route.  It tries the routes in this order and returns the first that
-applies:
+Every solver here returns a finished answer: it builds the Bayesian SLD
+``L`` of the problem once (:func:`~mixest.bayes._sld`) and sets its
+optimum ``q_star`` itself, so :func:`solve` only picks a route.  It tries
+the routes in this order and returns the first that applies:
 
 * qubits -> the closed-form optimal PVM of :func:`optimal_pvm`,
 * a pure state mixed with white noise, then commuting states, then
@@ -27,7 +27,6 @@ runs the one problem check, :func:`~mixest.bayes._check_problem`.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -67,9 +66,9 @@ class ReductionOutcome:
     A solved route carries its ``report``.  An unreduced outcome has no
     report: it keeps the raw candidate effects (they failed positivity)
     and ``reduced_q``, the planar optimum they were built from.
-    ``q_star`` is the Bayesian-SLD optimum of the problem: :func:`solve`
-    sets it on every route, as do the routes that build ``L``; only
-    :func:`embed_and_check` called on its own leaves it None.
+    ``q_star`` is the Bayesian-SLD optimum of the problem, set by every
+    solver on every outcome, solved or not; it is None only where no
+    solver ran (:func:`~mixest.simulate.entanglement_demo`).
     """
 
     kind: ReductionKind
@@ -102,20 +101,18 @@ def solve(
     """
     _check_problem(prior, rho1, rho2)
     if rho1.dim == 2:
-        outcome = ReductionOutcome(
-            ReductionKind.QUBIT, "closed-form optimal angle of the qubit problem", optimal_pvm(prior, rho1, rho2)
+        return ReductionOutcome(
+            ReductionKind.QUBIT, "closed-form optimal angle of the qubit problem", optimal_pvm(prior, rho1, rho2),
+            q_star=_sld(prior, _weighted_states(prior, rho1, rho2))[0],
         )
-    else:
-        if _pure_state_against_noise(rho1, rho2):
-            return _sld_outcome(ReductionKind.PURE_WITH_NOISE, _PURE_CERTIFICATE, prior, rho1, rho2)
-        cnorm = commutator_norm(rho1, rho2)
-        if cnorm < DEFAULT_POLICY.commute_tol:
-            return _sld_outcome(ReductionKind.COMMUTING, _commuting_certificate(cnorm), prior, rho1, rho2)
-        if support_rank(rho1, rho2) <= 2:
-            return _sld_outcome(ReductionKind.TWO_DIM_SUBSPACE, _TWO_DIM_CERTIFICATE, prior, rho1, rho2)
-        outcome = embed_and_check(prior, rho1, rho2)
-    # the qubit closed form and the embedding do not build L
-    return dataclasses.replace(outcome, q_star=_sld(prior, _weighted_states(prior, rho1, rho2))[0])
+    if _pure_state_against_noise(rho1, rho2):
+        return _sld_outcome(ReductionKind.PURE_WITH_NOISE, _PURE_CERTIFICATE, prior, rho1, rho2)
+    cnorm = commutator_norm(rho1, rho2)
+    if cnorm < DEFAULT_POLICY.commute_tol:
+        return _sld_outcome(ReductionKind.COMMUTING, _commuting_certificate(cnorm), prior, rho1, rho2)
+    if support_rank(rho1, rho2) <= 2:
+        return _sld_outcome(ReductionKind.TWO_DIM_SUBSPACE, _TWO_DIM_CERTIFICATE, prior, rho1, rho2)
+    return embed_and_check(prior, rho1, rho2)
 
 
 def _pure_state_against_noise(rho1: DensityMatrix, rho2: DensityMatrix) -> bool:
@@ -294,6 +291,7 @@ def embed_and_check(
     only with the subspace test ``{P, I - P}`` of a pure state in the
     states' plane, scored on the same stack; otherwise the problem stays
     unreduced, with the ``+`` pair as candidates, and no optimality is claimed.
+    Both outcomes carry ``q_star``, the SLD optimum of the same stack.
     """
     _check_problem(prior, rho1, rho2)
     d = rho1.dim
@@ -313,6 +311,7 @@ def embed_and_check(
     sign, min_eig = (-1.0, minus) if plus < -DEFAULT_POLICY.psd_tol <= minus else (1.0, plus)
     first = (np.eye(d) + sign * a) / d
     effects = (first, np.eye(d) - first)
+    q_star = _sld(prior, states)[0]
     if min_eig < -DEFAULT_POLICY.psd_tol:
         return ReductionOutcome(
             kind=ReductionKind.UNREDUCED,
@@ -323,6 +322,7 @@ def embed_and_check(
             reduced_q=sol.q_max,
             candidate_effects=effects,
             min_eigenvalue=min_eig,
+            q_star=q_star,
         )
     povm = _trusted_povm(effects)
     report = EstimationReport(povm=povm, score=_score(effects, prior, states), alpha0=sol.alpha)
@@ -331,4 +331,5 @@ def embed_and_check(
         certificate="two-generator embedding; rebuilt effects are positive",
         report=report,
         min_eigenvalue=min_eig,
+        q_star=q_star,
     )

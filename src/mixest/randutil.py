@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import BadParameter
 from .policy import DEFAULT_POLICY
 from .states import DensityMatrix, Povm, validate_povm, validate_state
 
@@ -35,7 +36,7 @@ def random_povm(rng: np.random.Generator, dim: int, n_effects: int = 4) -> Povm:
     ``I - sum`` is positive; resample in the rare boundary case.
     """
     if n_effects < 2:
-        raise ValueError("need at least two effects")
+        raise BadParameter("need at least two effects")
     while True:
         weights = rng.dirichlet(np.ones(n_effects - 1))
         effects = []

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import EstimationReport, Prior, _traces, q_functional, reject_degenerate_prior
-from .errors import BadParameter, WrongShape
+from .errors import BadParameter, WrongDimension
 from .highdim import _PURE_CERTIFICATE, ReductionKind, ReductionOutcome, solve
 from .policy import DEFAULT_POLICY
 from .states import DensityMatrix, Povm, _trusted_povm, _trusted_states, _unit_vector, as_povm
@@ -65,7 +65,7 @@ class DecoherenceModel:
         if self.t <= 0.0 or self.b_max <= 0.0:
             raise BadParameter("time and maximal rate must be positive")
         if self.rho0.dim != 2:
-            raise WrongShape("decoherence model needs a qubit initial state")
+            raise WrongDimension("decoherence model needs a qubit initial state")
 
     @property
     def equilibrium(self) -> DensityMatrix:
@@ -285,7 +285,7 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
     """Partial transpose over the second qubit of a two-qubit operator."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
-        raise WrongShape(f"expected a 4x4 two-qubit operator, got {m.shape}")
+        raise WrongDimension(f"expected a 4x4 two-qubit operator, got {m.shape}")
     blocks = m.reshape(2, 2, 2, 2)
     return blocks.transpose(0, 3, 2, 1).reshape(4, 4)
 

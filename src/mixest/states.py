@@ -30,7 +30,6 @@ from .errors import (
     NotUnitTrace,
     VectorTooLong,
     WrongDimension,
-    WrongShape,
 )
 from .policy import DEFAULT_POLICY
 
@@ -47,8 +46,6 @@ def _as_square_matrix(m) -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise WrongDimension(f"expected a square matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise BadParameter("matrix has non-finite entries (nan or inf)")
     return arr
 
 
@@ -189,13 +186,13 @@ def _trusted_povm(matrices) -> Povm:
 def _unit_vector(psi, length: int | None = None) -> np.ndarray:
     """``psi / |psi|`` as a flat complex vector: the one check of a state vector.
 
-    Raises :class:`WrongShape` for a length below 2 or other than ``length``,
+    Raises :class:`WrongDimension` for a length below 2 or other than ``length``,
     and :class:`BadParameter` unless ``0 < |psi| < inf``, which a nan or
     infinite entry, or a norm that overflows, fails.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if len(psi) < 2 or (length is not None and len(psi) != length):
-        raise WrongShape(f"state vector has length {len(psi)}, expected {length or 'at least 2'}")
+        raise WrongDimension(f"state vector has length {len(psi)}, expected {length or 'at least 2'}")
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(psi))
     if not 0.0 < norm < math.inf:

@@ -15,7 +15,7 @@ from mixest.bayes import (
     effective_states,
     q_functional,
 )
-from mixest.errors import BadParameter, DimensionMismatch, NonPositiveParameter, ValidationError
+from mixest.errors import BadParameter, DimensionMismatch, ValidationError
 from mixest.policy import DEFAULT_POLICY
 from mixest.randutil import random_density, random_povm
 from mixest.states import DensityMatrix, validate_povm, validate_state, validate_states
@@ -85,7 +85,7 @@ class TestPriors:
         assert p.second_moment == pytest.approx(1.0, abs=1e-7)
 
     def test_nonpositive_parameter(self):
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(BadParameter):
             Prior.truncated_reciprocal(0.0)
 
     def test_moment_ordering_invariants(self):

@@ -601,6 +601,83 @@ class TestOverflowingJsonInteger:
         assert "Traceback" not in captured.err
 
 
+def _solve(*extra):
+    return ["solve", "--problem", "{problem.json}", *extra]
+
+
+def _table_prior(**fields):
+    return json.dumps({"kind": "table", "lambda": [0.0, 0.5, 1.0], "density": [1.0, 1.0, 1.0], **fields})
+
+
+# case -> (argv, files written first, the start of the one stderr line).  "{name}" stands for
+# tmp_path / name, and problem.json is the one of orthogonal_pure_problem.  Where the line ends
+# in a message of the OS or of the json module, only its start is given; the others are whole.
+REJECTED_INPUT = {
+    "missing_problem_file": (
+        ["solve", "--problem", "{missing.json}"], {}, "error: cannot read {missing.json}: "),
+    "bad_prior_argument": (_solve("--prior", "{bad"), {}, "error: prior argument is not valid JSON: "),
+    "prior_without_kind": (_solve("--prior", '{"t_bmax": 2.0}'), {}, "error: prior JSON needs a 'kind' field\n"),
+    "unknown_prior_kind": (_solve("--prior", '{"kind": "beta"}'), {}, "error: unknown prior kind 'beta'\n"),
+    "table_arrays_mismatch": (
+        _solve("--prior", _table_prior(density=[1.0, 1.0])), {},
+        "error: table prior needs matching 1-d lambda and density arrays with >= 2 points\n"),
+    "table_grid_past_one": (
+        _solve("--prior", _table_prior(**{"lambda": [0.0, 0.5, 1.5]})), {},
+        "error: table lambda grid must lie in [0, 1]\n"),
+    "table_density_all_zero": (
+        _solve("--prior", _table_prior(density=[0.0, 0.0, 0.0])), {}, "error: table density integrates to zero\n"),
+    "matrix_re_off_its_dim": (
+        ["solve", "--problem", "{bad.json}"],
+        {"bad.json": {"rho1": dict(matrix_json(np.diag([1.0, 0.0])), dim=3), "rho2": matrix_json(np.eye(2) / 2)}},
+        "error: matrix entries do not match dim=3\n"),
+    "problem_without_rho2": (
+        ["solve", "--problem", "{bad.json}"], {"bad.json": {"rho1": matrix_json(np.eye(2) / 2)}},
+        "error: problem file misses 'rho2'\n"),
+    "sweep_with_one_point": (
+        ["sweep-gamma", "--rb", "0.5", "--points", "1"], {}, "error: need at least two sweep points\n"),
+    "povm_without_effects": (
+        ["simulate", "--problem", "{problem.json}", "--povm", "{bad.json}", "--n-trials", "5"],
+        {"bad.json": {"effects": []}}, "error: a POVM needs at least one effect\n"),
+    "qutrit_rho0": (
+        ["decoherence", "--s", "0.1", "--t", "1", "--bmax", "1", "--rho0", "{bad.json}", "--n-trials", "5"],
+        {"bad.json": matrix_json(np.eye(3) / 3)}, "error: decoherence model needs a qubit initial state\n"),
+}
+
+
+class TestRejectedInput:
+    """Outside input that the CLI refuses: exit 2, one ``error:`` line on stderr, nothing on stdout."""
+
+    @pytest.mark.parametrize("case", REJECTED_INPUT)
+    def test_exit_two_with_its_error_line(self, tmp_path, capsys, case):
+        argv, files, line = REJECTED_INPUT[case]
+        orthogonal_pure_problem(tmp_path)
+        for name, obj in files.items():
+            write_json(tmp_path / name, obj)
+
+        def place(text):
+            for name in ("missing.json", "problem.json", *files):
+                text = text.replace("{" + name + "}", str(tmp_path / name))
+            return text
+
+        assert main([place(arg) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(place(line))
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    def test_prior_file_matches_the_inline_prior(self, tmp_path, capsys):
+        # --prior takes a JSON string or a file holding one
+        problem = orthogonal_pure_problem(tmp_path)
+        prior = {"kind": "trunc_reciprocal", "t_bmax": 2.0}
+        assert main(["solve", "--problem", problem, "--prior", write_json(tmp_path / "prior.json", prior)]) == 0
+        from_file = capsys.readouterr()
+        assert main(["solve", "--problem", problem, "--prior", json.dumps(prior)]) == 0
+        assert from_file == capsys.readouterr()
+        assert from_file.err == ""
+        assert main(["solve", "--problem", problem]) == 0
+        assert capsys.readouterr().out != from_file.out  # the file's prior replaced the uniform one
+
+
 def _per_effect_traces(effects, states):
     """The per-effect ``np.trace(E @ rho)`` loops that the stacked traces replaced."""
     return np.array([[float(np.trace(e @ rho).real) for e in effects] for rho in states])

@@ -31,8 +31,9 @@ from mixest.randutil import (
     random_povm,
 )
 from mixest.simulate import entanglement_demo
-from mixest.states import validate_povm, validate_state
+from mixest.states import validate_povm, validate_state, validate_states
 from planar_oracle import common_eigenbasis, pinch_to_basis, sld_q
+from test_cli import tilted_noise_pair
 
 UNIFORM = Prior.uniform()
 
@@ -532,6 +533,7 @@ PRIORS = {
 
 def assert_same_outcome(got, want):
     assert got.reduced_q == want.reduced_q
+    assert type(got.q_star) is float and got.q_star == want.q_star
     if want.report is None:
         assert got.report is None
         pairs = zip(got.candidate_effects, want.candidate_effects, strict=True)
@@ -626,6 +628,24 @@ class TestSolveEntryPoint:
     def test_rejects_mismatched_dimensions(self, rng):
         with pytest.raises(DimensionMismatch):
             solve(UNIFORM, random_density(rng, 2), random_density(rng, 3))
+
+
+class TestTiltedNoise:
+    @pytest.mark.parametrize("prior", PRIORS)
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_solve_returns_the_embedding_answer(self, dim, prior, rng):
+        # the pair neither commutes nor shares a small support, so solve sends
+        # it to the embedding, which answers most such pairs with a positive
+        # pair; solve adds nothing to that answer, q_star included.  The
+        # generic family of TestSolveEntryPoint covers the unreduced answers
+        kinds = []
+        for eps in (1e-7, 1e-6, 1e-5):
+            rho1, rho2 = validate_states(tilted_noise_pair(rng, dim, eps))
+            out = solve(PRIORS[prior], rho1, rho2)
+            assert_same_outcome(out, embed_and_check(PRIORS[prior], rho1, rho2))
+            kinds.append(out.kind)
+        assert ReductionKind.EMBEDDED in kinds
+        assert set(kinds) <= {ReductionKind.EMBEDDED, ReductionKind.UNREDUCED}
 
 
 def near_commuting_pair(dim, eps, weight):

@@ -82,6 +82,7 @@ def test_library_does_not_import_the_test_oracle():
     removed += ("ZeroMeanPrior", "RateOutOfRange")
     removed += ("common_eigenbasis", "joint_support", "_phase_fix")
     removed += ("SUBSPACE_POLICY", "_sld_report", "_commuting_outcome", "_two_dim_support_outcome")
+    removed += ("NonPositiveParameter", "WrongShape")
     modules = _library_modules()
     for name in removed:
         assert not any(hasattr(module, name) for module in modules), name
@@ -197,3 +198,44 @@ def test_every_error_class_is_raised_or_a_base_of_one_that_is():
         frontier = set().union(*(bases[name] for name in frontier)) & set(bases) - live
         live |= frontier
     assert sorted(set(bases) - live) == []
+
+
+def test_every_raise_is_an_estimation_error():
+    # a caller catches every fault of the package with EstimationError, so every raise names a class of errors.py
+    errors = ast.parse((SRC / "mixest" / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    foreign = []
+    for path in sorted((SRC / "mixest").glob("*.py")):
+        names = _raised_names(ast.parse(path.read_text(encoding="utf-8")))
+        foreign += [f"{path.name}: {name}" for name in sorted(names - classes)]
+    assert foreign == []
+
+
+# The float literals below 1e-3 that stay outside NumericPolicy, per module, as the README's
+# "Numerical policy" paragraph names them.  A new one fails here until it is named there or
+# moved into NumericPolicy.
+NAMED_LITERALS = {
+    "bayes.py": [1e-12] * 4,  # the prior support's +-1e-12 (Prior and the table grid)
+    "highdim.py": [1e-10, 1e-10, 1e-9, 1e-6],  # pure-state-against-noise test; plane and Gell-Mann completion
+    "qubit.py": [1e-9],  # the qubit frame
+    "simulate.py": [1e-12],  # ppt_threshold's product-state cut-off
+    "selftest.py": [1e-12, 1e-12, 1e-12, 1e-9, 1e-8],  # the bounds of selftest's checks
+}
+
+
+def test_every_small_float_literal_is_a_named_tolerance():
+    found = {}
+    for path in sorted((SRC / "mixest").glob("*.py")):
+        if path.name == "policy.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        small = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and type(n.value) is float]
+        small = sorted(x for x in small if 0.0 < abs(x) < 1e-3)
+        if small:
+            found[path.name] = small
+    assert found == {name: sorted(values) for name, values in NAMED_LITERALS.items()}
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    policy = readme.split("## Numerical policy")[1].split("\n## ")[0]
+    for name, values in NAMED_LITERALS.items():
+        spelled = {f"{x:.0e}".replace("e-0", "e-") for x in values}
+        assert all(text in policy for text in spelled), (name, spelled)

@@ -8,7 +8,7 @@ from numpy.random import Generator, Philox
 import mixest.simulate
 from mixest.bayes import Prior, q_functional
 from mixest.cli import main, matrix_from_json, matrix_to_json
-from mixest.errors import BadParameter, DegenerateProblem, WrongShape
+from mixest.errors import BadParameter, DegenerateProblem, WrongDimension
 from mixest.highdim import solve_pure_plus_noise
 from mixest.qubit import optimal_pvm
 from mixest.randutil import random_density, random_povm
@@ -232,9 +232,9 @@ class TestEntanglement:
         assert again.rows == demo.rows
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(WrongShape):
+        with pytest.raises(WrongDimension):
             entanglement_demo(np.array([1.0, 0.0]), n_trials=5, seed=0)
-        with pytest.raises(WrongShape):
+        with pytest.raises(WrongDimension):
             ppt_threshold(np.ones(3))
 
     @pytest.mark.parametrize("n_trials", [0, -3])
